@@ -43,6 +43,7 @@ from .tensor_io import tensor_digest
 
 __all__ = [
     "Config",
+    "CLASSES",
     "CLASS_NAMES",
     "ClassificationReport",
     "ZDecomposition",
@@ -100,17 +101,6 @@ class Config:
             "interior_margin": float(self.interior_margin),
             "s0_certify_cap": int(self.s0_certify_cap),
         }
-
-
-# report key order is part of the external interface
-CLASS_NAMES = (
-    "E0", "E", "almostE0", "almostE",
-    "C0", "C", "almostC0", "almostC",
-    "Z", "M", "strongM",
-    "diagDominant", "strictDiagDominant",
-    "S", "S0", "completelyS", "completelyS0",
-    "nonneg", "positive",
-)
 
 
 class NotZTensorError(ValueError):
@@ -222,9 +212,11 @@ class EntryConditions:
         }
 
 
-def entry_conditions(A: Tensor, strict: bool = False) -> EntryConditions:
-    """Evaluate the entry-sign conditions (used as a fast rejection filter)."""
-    del strict  # both variants are always reported; `satisfied` picks one
+def entry_conditions(A: Tensor) -> EntryConditions:
+    """Evaluate the entry-sign conditions (used as a fast rejection filter).
+
+    Both variants are always reported; ``satisfied`` picks one.
+    """
     d = diag(A)
     drops = []
     diag_pos = (np.arange(A.dim),) * (A.order - 1)
@@ -284,6 +276,7 @@ def check_weighted_characterization(A: Tensor, x, trials: int = 32,
 
 
 def _nonempty_subsets(n: int):
+    """Index subsets of ``range(n)`` by size, then lexicographically (the full set last)."""
     for size in range(1, n + 1):
         yield from combinations(range(n), size)
 
@@ -384,19 +377,21 @@ class TensorClassifier:
                            worst, {"undecided_subsets": pending})
         return Verdict(HOLDS, None, self.config.epsilon, nodes, depth, worst)
 
-    def is_almost_semi_positive(self, strict: bool = False) -> Verdict:
-        """Every proper principal subtensor in the class, while some ``x > 0``
-        leaves the full tensor (the verdict carries that ``x``)."""
+    def _almost(self, decide, reason: str) -> Verdict:
+        """Every proper principal subtensor stays in the class, the full tensor leaves it.
+
+        ``decide(J)`` is the engine verdict for subset ``J``, Holds when ``J``
+        is in the class; ``reason`` explains a Fails whose full tensor is in it.
+        """
         n = self.tensor.dim
         if n < 2:
             raise ValueError("almost classes need dim >= 2 (no proper principal subtensors)")
-        engine_strict = not strict
         nodes = depth = 0
         pending = []
         for J in _nonempty_subsets(n):
             if J == self._full:
                 continue
-            v = self.component_decision(J, engine_strict)
+            v = decide(J)
             nodes += v.nodes
             depth = max(depth, v.depth)
             if v.status == FAILS:
@@ -405,52 +400,30 @@ class TensorClassifier:
                                {"reason": "proper_subtensor_leaves_class", "subset": J})
             if v.status == INCONCLUSIVE:
                 pending.append(J)
-        full = self.component_decision(self._full, engine_strict)
+        full = decide(self._full)
         nodes += full.nodes
         depth = max(depth, full.depth)
         if full.status == HOLDS:
             return Verdict(FAILS, None, full.epsilon, nodes, depth, full.worst_bound,
-                           {"reason": "no_interior_witness"})
+                           {"reason": reason})
         if pending or full.status == INCONCLUSIVE:
             info = {"undecided_subsets": pending} if pending else {}
             return Verdict(INCONCLUSIVE, None, full.epsilon, nodes, depth,
                            full.worst_bound, info)
         return Verdict(HOLDS, full.witness, full.epsilon, nodes, depth,
                        full.worst_bound, dict(full.info))
+
+    def is_almost_semi_positive(self, strict: bool = False) -> Verdict:
+        """Every proper principal subtensor in the class, while some ``x > 0``
+        leaves the full tensor (the verdict carries that ``x``)."""
+        return self._almost(lambda J: self.component_decision(J, not strict),
+                            "no_interior_witness")
 
     def is_copositive(self, strict: bool = False) -> Verdict:
         return self.form_decision(self._full, strict)
 
     def is_almost_copositive(self, strict: bool = False) -> Verdict:
-        n = self.tensor.dim
-        if n < 2:
-            raise ValueError("almost classes need dim >= 2 (no proper principal subtensors)")
-        nodes = depth = 0
-        pending = []
-        for J in _nonempty_subsets(n):
-            if J == self._full:
-                continue
-            v = self.form_decision(J, strict)
-            nodes += v.nodes
-            depth = max(depth, v.depth)
-            if v.status == FAILS:
-                witness = _embed(v.witness, J, n)
-                return Verdict(FAILS, witness, v.epsilon, nodes, depth, v.worst_bound,
-                               {"reason": "proper_subtensor_leaves_class", "subset": J})
-            if v.status == INCONCLUSIVE:
-                pending.append(J)
-        full = self.form_decision(self._full, strict)
-        nodes += full.nodes
-        depth = max(depth, full.depth)
-        if full.status == HOLDS:
-            return Verdict(FAILS, None, full.epsilon, nodes, depth, full.worst_bound,
-                           {"reason": "tensor_is_copositive"})
-        if pending or full.status == INCONCLUSIVE:
-            info = {"undecided_subsets": pending} if pending else {}
-            return Verdict(INCONCLUSIVE, None, full.epsilon, nodes, depth,
-                           full.worst_bound, info)
-        return Verdict(HOLDS, full.witness, full.epsilon, nodes, depth,
-                       full.worst_bound, dict(full.info))
+        return self._almost(lambda J: self.form_decision(J, strict), "tensor_is_copositive")
 
     def is_s_tensor(self) -> Verdict:
         return self.feasibility_decision(self._full, True)
@@ -510,26 +483,7 @@ class TensorClassifier:
 
     def classify(self) -> "ClassificationReport":
         A = self.tensor
-        verdicts: dict[str, Verdict] = {}
-        verdicts["E0"] = self.is_semi_positive(False)
-        verdicts["E"] = self.is_semi_positive(True)
-        verdicts["almostE0"] = self.is_almost_semi_positive(False)
-        verdicts["almostE"] = self.is_almost_semi_positive(True)
-        verdicts["C0"] = self.is_copositive(False)
-        verdicts["C"] = self.is_copositive(True)
-        verdicts["almostC0"] = self.is_almost_copositive(False)
-        verdicts["almostC"] = self.is_almost_copositive(True)
-        verdicts["Z"] = is_z_tensor(A)
-        verdicts["M"] = self.is_m_tensor(False)
-        verdicts["strongM"] = self.is_m_tensor(True)
-        verdicts["diagDominant"] = is_diag_dominant(A, False)
-        verdicts["strictDiagDominant"] = is_diag_dominant(A, True)
-        verdicts["S"] = self.is_s_tensor()
-        verdicts["S0"] = self.is_s0_tensor()
-        verdicts["completelyS"] = self.is_completely_s()
-        verdicts["completelyS0"] = self.is_completely_s0()
-        verdicts["nonneg"] = _trivial(is_nonneg(A))
-        verdicts["positive"] = _trivial(is_positive(A))
+        verdicts = {name: predicate(self) for name, predicate in CLASSES.items()}
         symmetric = is_symmetric(A)
         return ClassificationReport(
             digest=tensor_digest(A),
@@ -544,6 +498,32 @@ class TensorClassifier:
 
 def _trivial(flag: bool) -> Verdict:
     return Verdict(HOLDS if flag else FAILS, None, 0.0, 0, 0, None)
+
+
+# every class and its predicate on a TensorClassifier; the order is the order
+# of evaluation and of the report keys, part of the external interface
+CLASSES = {
+    "E0": lambda c: c.is_semi_positive(False),
+    "E": lambda c: c.is_semi_positive(True),
+    "almostE0": lambda c: c.is_almost_semi_positive(False),
+    "almostE": lambda c: c.is_almost_semi_positive(True),
+    "C0": lambda c: c.is_copositive(False),
+    "C": lambda c: c.is_copositive(True),
+    "almostC0": lambda c: c.is_almost_copositive(False),
+    "almostC": lambda c: c.is_almost_copositive(True),
+    "Z": lambda c: is_z_tensor(c.tensor),
+    "M": lambda c: c.is_m_tensor(False),
+    "strongM": lambda c: c.is_m_tensor(True),
+    "diagDominant": lambda c: is_diag_dominant(c.tensor, False),
+    "strictDiagDominant": lambda c: is_diag_dominant(c.tensor, True),
+    "S": lambda c: c.is_s_tensor(),
+    "S0": lambda c: c.is_s0_tensor(),
+    "completelyS": lambda c: c.is_completely_s(),
+    "completelyS0": lambda c: c.is_completely_s0(),
+    "nonneg": lambda c: _trivial(is_nonneg(c.tensor)),
+    "positive": lambda c: _trivial(is_positive(c.tensor)),
+}
+CLASS_NAMES = tuple(CLASSES)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,11 @@ class WitnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Three-valued certified decision with its numeric evidence."""
+    """Three-valued certified decision with its numeric evidence.
+
+    On an engine verdict ``worst_bound`` is the coefficient bound of the root
+    simplex (the whole standard simplex), whatever the status.
+    """
 
     status: str
     witness: np.ndarray | None
@@ -148,6 +152,28 @@ def _jsonable(v):
 # simplices
 
 
+def _longest_edge(V: np.ndarray) -> tuple[int, int]:
+    """Vertex pair of the longest edge, ties broken lexicographically."""
+    best = (-1.0, 0, 1)
+    r = V.shape[0]
+    for a in range(r):
+        for b in range(a + 1, r):
+            d = float(np.dot(V[a] - V[b], V[a] - V[b]))
+            if d > best[0]:
+                best = (d, a, b)
+    return best[1], best[2]
+
+
+def _bisect(V: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the two halves split at the midpoint of edge ``(a, b)``."""
+    mid = 0.5 * (V[a] + V[b])
+    first = V.copy()
+    first[b] = mid
+    second = V.copy()
+    second[a] = mid
+    return first, second
+
+
 class Simplex:
     """``r`` affinely independent vertices on the standard simplex of R^r."""
 
@@ -207,15 +233,7 @@ class Simplex:
 
     def longest_edge(self) -> tuple[int, int]:
         """Vertex pair of the longest edge, ties broken lexicographically."""
-        V = self.vertices
-        best = (-1.0, 0, 1)
-        r = V.shape[0]
-        for a in range(r):
-            for b in range(a + 1, r):
-                d = float(np.dot(V[a] - V[b], V[a] - V[b]))
-                if d > best[0]:
-                    best = (d, a, b)
-        return best[1], best[2]
+        return _longest_edge(self.vertices)
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -224,12 +242,7 @@ class Simplex:
         """Bisect the longest edge; the two children partition this simplex."""
         if self.num_vertices < 2:
             raise ValueError("cannot bisect a single point")
-        a, b = self.longest_edge()
-        mid = 0.5 * (self.vertices[a] + self.vertices[b])
-        first = self.vertices.copy()
-        first[b] = mid
-        second = self.vertices.copy()
-        second[a] = mid
+        first, second = _bisect(self.vertices, *self.longest_edge())
         return (
             Simplex(first, self.depth + 1, validate=False),
             Simplex(second, self.depth + 1, validate=False),
@@ -300,7 +313,8 @@ def _slot_symmetrized_rows(A: Tensor) -> np.ndarray:
     start from these entries while all witness evaluation uses ``A`` itself.
     """
     m = A.order
-    if m <= 2:
+    if m <= 2 or A.dim == 1:
+        # nothing to average, and averaging m-1 equal copies can move an ulp
         return A.data.copy()
     acc = np.zeros_like(A.data)
     count = 0
@@ -484,69 +498,34 @@ def decide_all_components_negative(
     scale = max_abs(A) or 1.0
     eps_abs = epsilon * scale
     floor = interior_margin
+    threshold = -eps_abs if strict else eps_abs
 
     def gmax(y):
         return float(np.max(apply(A, y)))
 
-    if strict:
-        def witness_ok(y):
-            g = gmax(y)
-            return (g < -eps_abs and float(np.min(y)) >= floor * 0.999), g
-    else:
-        def witness_ok(y):
-            g = gmax(y)
-            return (g <= eps_abs and float(np.min(y)) >= floor * 0.999), g
+    def witness_ok(y):
+        g = gmax(y)
+        below = g < threshold if strict else g <= threshold
+        return (below and float(np.min(y)) >= floor * 0.999), g
 
-    cert_threshold = -eps_abs if strict else eps_abs
-    fail_threshold = -eps_abs if strict else eps_abs
+    def grad_fn(v):
+        f = apply(A, v)
+        return apply_jacobian(A, v)[int(np.argmax(f))]
 
-    if n == 1:
-        a = float(A.data.reshape(-1)[0])
-        y = np.array([1.0])
-        ok, _ = witness_ok(y)
-        if ok:
-            return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=1, depth=0,
-                                 worst_bound=a)
-        if a > cert_threshold:
-            return Verdict(HOLDS, None, epsilon, 1, 0, a)
-        return Verdict(INCONCLUSIVE, None, epsilon, 1, 0, a, {"limit": "tolerance_gap"})
-
-    rows = _slot_symmetrized_rows(A)
-    coeff_axes = tuple(range(1, A.order))
-
-    def leaf_bound(coeffs):
-        return float(coeffs.reshape(n, -1).min(axis=1).max())
-
-    def candidate_values(points):
-        return apply_batch(A, points).max(axis=1)
-
-    def descend(y):
-        def value_fn(v):
-            return gmax(v)
-
-        def grad_fn(v):
-            f = apply(A, v)
-            return apply_jacobian(A, v)[int(np.argmax(f))]
-
-        return _polish_descent(y, floor, polish_steps, value_fn, grad_fn)
-
-    def try_witness(y, budget):
-        y = descend(y)
+    def polish(y):
+        y = _polish_descent(y, floor, polish_steps, gmax, grad_fn)
         if not strict and gmax(y) > eps_abs:
             y2 = _equalize(A, y, floor, want_upper=True, active_width=0.25 * scale)
             if gmax(y2) < gmax(y):
                 y = y2
-        ok, _ = witness_ok(y)
-        if not ok:
-            return None
-        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
-                             depth=budget.deepest, worst_bound=None)
+        return y
 
     return _min_search(
-        A, rows, coeff_axes, leaf_bound, candidate_values,
-        cert_threshold=cert_threshold, fail_threshold=fail_threshold,
-        try_witness=try_witness, epsilon=epsilon, max_depth=max_depth,
-        max_nodes=max_nodes, scale=scale,
+        A, _slot_symmetrized_rows(A), tuple(range(1, A.order)),
+        lambda coeffs: float(coeffs.reshape(n, -1).min(axis=1).max()),
+        lambda points: apply_batch(A, points).max(axis=1),
+        threshold=threshold, witness_ok=witness_ok, polish=polish, epsilon=epsilon,
+        max_depth=max_depth, max_nodes=max_nodes, scale=scale,
     )
 
 
@@ -565,120 +544,87 @@ def decide_form_nonneg(
     carries a simplex witness with ``A x^m < -eps`` (strict: ``<= eps``).
     """
     _check_params(epsilon, max_depth)
-    n = A.dim
     scale = max_abs(A) or 1.0
     eps_abs = epsilon * scale
-
-    if strict:
-        def witness_ok(y):
-            v = form_value(A, y)
-            return v <= eps_abs, v
-    else:
-        def witness_ok(y):
-            v = form_value(A, y)
-            return v < -eps_abs, v
-
-    cert_threshold = eps_abs if strict else -eps_abs
-    fail_threshold = eps_abs if strict else -eps_abs
-
-    if n == 1:
-        a = float(A.data.reshape(-1)[0])
-        y = np.array([1.0])
-        ok, _ = witness_ok(y)
-        if ok:
-            return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=1, depth=0,
-                                 worst_bound=a)
-        if a > cert_threshold:
-            return Verdict(HOLDS, None, epsilon, 1, 0, a)
-        return Verdict(INCONCLUSIVE, None, epsilon, 1, 0, a, {"limit": "tolerance_gap"})
-
+    threshold = eps_abs if strict else -eps_abs
     sym = symmetrize(A)
-    coeff_axes = tuple(range(A.order))
-
-    def leaf_bound(coeffs):
-        return float(coeffs.min())
-
-    def candidate_values(points):
-        return form_batch(A, points)
-
     m = A.order
 
-    def descend(y):
-        def value_fn(v):
-            return form_value(A, v)
+    def witness_ok(y):
+        v = form_value(A, y)
+        return (v <= threshold if strict else v < threshold), v
 
-        def grad_fn(v):
-            return m * apply(sym, v)
-
-        return _polish_descent(y, 0.0, polish_steps, value_fn, grad_fn)
-
-    def try_witness(y, budget):
-        y = descend(y)
-        ok, _ = witness_ok(y)
-        if not ok:
-            return None
-        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
-                             depth=budget.deepest, worst_bound=None)
+    def polish(y):
+        return _polish_descent(y, 0.0, polish_steps, lambda v: form_value(A, v),
+                               lambda v: m * apply(sym, v))
 
     return _min_search(
-        A, sym.data, coeff_axes, leaf_bound, candidate_values,
-        cert_threshold=cert_threshold, fail_threshold=fail_threshold,
-        try_witness=try_witness, epsilon=epsilon, max_depth=max_depth,
-        max_nodes=max_nodes, scale=scale,
+        A, sym.data, tuple(range(m)), lambda coeffs: float(coeffs.min()),
+        lambda points: form_batch(A, points),
+        threshold=threshold, witness_ok=witness_ok, polish=polish, epsilon=epsilon,
+        max_depth=max_depth, max_nodes=max_nodes, scale=scale,
     )
 
 
 def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
-                cert_threshold, fail_threshold, try_witness, epsilon,
-                max_depth, max_nodes, scale) -> Verdict:
-    """Best-first hunt for a point below ``fail_threshold``.
+                threshold, witness_ok, polish, epsilon, max_depth, max_nodes,
+                scale) -> Verdict:
+    """Best-first hunt for a point below ``threshold``.
 
-    Holds when the worst remaining leaf bound clears ``cert_threshold``; the
+    Holds when the worst remaining leaf bound clears ``threshold``; the
     queue pops the most negative bound first, so the first certified pop
-    certifies everything still queued.
+    certifies everything still queued.  Heap entries are
+    ``(bound, seq, depth, vertices, coeffs)``; every verdict reports the root
+    bound as ``worst_bound``.
     """
     budget = _Budget(max_depth, max_nodes)
-    root = standard_simplex(A.dim)
-    lb0 = leaf_bound(root_coeffs)
-    heap = [(lb0, 0, root, root_coeffs)]
+    worst = leaf_bound(root_coeffs)
+    heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
-    worst = lb0
-    polish_gate = fail_threshold + _POLISH_TRIGGER * scale
+    polish_gate = threshold + _POLISH_TRIGGER * scale
+
+    def fails(y):
+        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
+                             depth=budget.deepest, worst_bound=worst)
 
     while heap:
-        lb, _, simplex, coeffs = heapq.heappop(heap)
-        if lb > cert_threshold:
+        lb, _, depth, V, coeffs = heapq.heappop(heap)
+        if lb > threshold:
             if budget.exhausted:
                 return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes,
                                budget.deepest, worst, budget.limit_note())
             return Verdict(HOLDS, None, epsilon, budget.nodes, budget.deepest, worst)
+        if len(V) == 1:
+            # a one-vertex simplex is a point whose bound is its value: the
+            # vertex is the witness, or the value sits on the tolerance edge
+            if witness_ok(V[0])[0]:
+                return fails(V[0])
+            return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
+                           worst, {"limit": "tolerance_gap"})
 
-        points = np.vstack([simplex.centroid(), simplex.vertices])
+        points = np.vstack([V.mean(axis=0), V])
         values = candidate_values(points)
         best_idx = int(np.argmin(values))
-        best_val = float(values[best_idx])
-        if best_val < polish_gate:
-            verdict = try_witness(points[best_idx], budget)
-            if verdict is not None:
-                return verdict
-            polish_gate = fail_threshold + 0.5 * (polish_gate - fail_threshold)
+        if float(values[best_idx]) < polish_gate:
+            y = polish(points[best_idx])
+            if witness_ok(y)[0]:
+                return fails(y)
+            polish_gate = threshold + 0.5 * (polish_gate - threshold)
 
-        if simplex.depth >= max_depth:
+        if depth >= max_depth:
             budget.exhausted_depth = True
             continue
         if budget.nodes + 2 > max_nodes:
             budget.exhausted_nodes = True
             break
 
-        a, b = simplex.longest_edge()
-        child1, child2 = simplex.refine()
+        a, b = _longest_edge(V)
         budget.nodes += 2
-        budget.deepest = max(budget.deepest, child1.depth)
-        for child, cc in (
-            (child1, _replace_vertex(coeffs, coeff_axes, b, a)),
-            (child2, _replace_vertex(coeffs, coeff_axes, a, b)),
-        ):
-            heapq.heappush(heap, (leaf_bound(cc), seq, child, cc))
+        budget.deepest = max(budget.deepest, depth + 1)
+        first, second = _bisect(V, a, b)
+        for child, cc in ((first, _replace_vertex(coeffs, coeff_axes, b, a)),
+                          (second, _replace_vertex(coeffs, coeff_axes, a, b))):
+            heapq.heappush(heap, (leaf_bound(cc), seq, depth + 1, child, cc))
             seq += 1
 
     return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
@@ -701,102 +647,31 @@ def search_nonneg_solution(
     ``strict=False`` for ``min_k >= -eps``.  Holds carries the solution; Fails
     certifies that no such point exists within tolerance; an exhausted budget,
     or ``certify_absence=False`` without a find, is Inconclusive.
+
+    Every component of ``apply(A, y)`` clears the goal exactly when every
+    component of ``apply(-A, y)`` falls below its negation, so this is the
+    component search on ``-A`` at floor 0 with Holds and Fails swapped; the
+    solution is re-checked against ``A`` itself.
     """
-    _check_params(epsilon, max_depth)
-    n = A.dim
-    scale = max_abs(A) or 1.0
-    eps_abs = epsilon * scale
+    v = decide_all_components_negative(
+        Tensor(-A.data), strict, epsilon, max_depth, max_nodes=max_nodes,
+        interior_margin=0.0, polish_steps=polish_steps,
+    )
+    eps_abs = epsilon * (max_abs(A) or 1.0)
     goal = eps_abs if strict else -eps_abs
+    worst = 0.0 - v.worst_bound  # the root bound of A; a plain minus would give -0.0
 
     def solution_ok(y):
-        v = float(np.min(apply(A, y)))
-        return (v > goal) if strict else (v >= goal), v
+        value = float(np.min(apply(A, y)))
+        return (value > goal) if strict else (value >= goal), value
 
-    if n == 1:
-        a = float(A.data.reshape(-1)[0])
-        y = np.array([1.0])
-        ok, _ = solution_ok(y)
-        if ok:
-            return Verdict.holds_with_solution(y, solution_ok, epsilon=epsilon,
-                                               nodes=1, depth=0, worst_bound=a)
-        if certify_absence:
-            return Verdict(FAILS, None, epsilon, 1, 0, a, {"reason": "no_solution"})
-        return Verdict(INCONCLUSIVE, None, epsilon, 1, 0, a, {"reason": "search_only"})
-
-    rows = _slot_symmetrized_rows(A)
-    coeff_axes = tuple(range(1, A.order))
-    budget = _Budget(max_depth, max_nodes)
-    root = standard_simplex(n)
-
-    def leaf_ub(coeffs):
-        return float(coeffs.reshape(n, -1).max(axis=1).min())
-
-    ub0 = leaf_ub(rows)
-    heap = [(-ub0, 0, root, rows)]
-    seq = 1
-    best_bound = ub0
-    polish_gate = goal - _POLISH_TRIGGER * scale
-
-    def try_solution(y, budget):
-        def value_fn(v):
-            return float(-np.min(apply(A, v)))
-
-        def grad_fn(v):
-            f = apply(A, v)
-            return -apply_jacobian(A, v)[int(np.argmin(f))]
-
-        y = _polish_descent(y, 0.0, polish_steps, value_fn, grad_fn)
-        if not strict and float(np.min(apply(A, y))) < goal:
-            y2 = _equalize(A, y, 0.0, want_upper=False, active_width=0.25 * scale)
-            if float(np.min(apply(A, y2))) > float(np.min(apply(A, y))):
-                y = y2
-        ok, _ = solution_ok(y)
-        if not ok:
-            return None
-        return Verdict.holds_with_solution(y, solution_ok, epsilon=epsilon,
-                                           nodes=budget.nodes, depth=budget.deepest,
-                                           worst_bound=best_bound)
-
-    while heap:
-        neg_ub, _, simplex, coeffs = heapq.heappop(heap)
-        ub = -neg_ub
-        if (ub <= goal) if strict else (ub < goal):
-            # best-first on upper bounds: nothing left can qualify
-            break
-
-        points = np.vstack([simplex.centroid(), simplex.vertices])
-        values = apply_batch(A, points).min(axis=1)
-        best_idx = int(np.argmax(values))
-        best_val = float(values[best_idx])
-        if best_val > polish_gate:
-            found = try_solution(points[best_idx], budget)
-            if found is not None:
-                return found
-            polish_gate = goal - 0.5 * (goal - polish_gate)
-
-        if simplex.depth >= max_depth:
-            budget.exhausted_depth = True
-            continue
-        if budget.nodes + 2 > max_nodes:
-            budget.exhausted_nodes = True
-            break
-
-        a, b = simplex.longest_edge()
-        child1, child2 = simplex.refine()
-        budget.nodes += 2
-        budget.deepest = max(budget.deepest, child1.depth)
-        for child, cc in (
-            (child1, _replace_vertex(coeffs, coeff_axes, b, a)),
-            (child2, _replace_vertex(coeffs, coeff_axes, a, b)),
-        ):
-            heapq.heappush(heap, (-leaf_ub(cc), seq, child, cc))
-            seq += 1
-
-    if budget.exhausted:
-        return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
-                       best_bound, budget.limit_note())
-    if not certify_absence:
-        return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
-                       best_bound, {"reason": "search_only"})
-    return Verdict(FAILS, None, epsilon, budget.nodes, budget.deepest, best_bound,
-                   {"reason": "no_solution"})
+    if v.status == FAILS:
+        return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
+                                           nodes=v.nodes, depth=v.depth, worst_bound=worst)
+    if v.status == INCONCLUSIVE:
+        status, info = INCONCLUSIVE, v.info
+    elif certify_absence:
+        status, info = FAILS, {"reason": "no_solution"}
+    else:
+        status, info = INCONCLUSIVE, {"reason": "search_only"}
+    return Verdict(status, None, epsilon, v.nodes, v.depth, worst, info)

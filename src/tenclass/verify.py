@@ -16,8 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifiers import (
+    CLASSES,
     Config,
     TensorClassifier,
+    _nonempty_subsets,
     entry_conditions,
     has_nonneg_row_subtensor,
     is_diag_dominant,
@@ -172,24 +174,12 @@ def _gen_almost_e0(rng, m, n, config, budget=50):
         if np.any(f >= -1e-9):
             continue
         clf = TensorClassifier(A, config)
-        accepted = True
-        for J in _proper_subsets(n):
-            v = clf.component_decision(J, True)
-            if v.status != HOLDS:
-                accepted = False
-                break
-        if accepted:
+        proper = list(_nonempty_subsets(n))[:-1]  # the full set comes last
+        if all(clf.component_decision(J, True).status == HOLDS for J in proper):
             return A, x
     raise RejectionBudgetError(
         f"no almost semi-positive draw accepted in {budget} attempts (m={m}, n={n})"
     )
-
-
-def _proper_subsets(n):
-    from itertools import combinations
-
-    for size in range(1, n):
-        yield from combinations(range(n), size)
 
 
 def generate(spec: GeneratorSpec, config: Config | None = None) -> list[Tensor]:
@@ -600,24 +590,6 @@ def load_fixtures() -> list[Fixture]:
     return out
 
 
-_PREDICATES = {
-    "E0": lambda c: c.is_semi_positive(False),
-    "E": lambda c: c.is_semi_positive(True),
-    "almostE0": lambda c: c.is_almost_semi_positive(False),
-    "almostE": lambda c: c.is_almost_semi_positive(True),
-    "C0": lambda c: c.is_copositive(False),
-    "C": lambda c: c.is_copositive(True),
-    "almostC0": lambda c: c.is_almost_copositive(False),
-    "almostC": lambda c: c.is_almost_copositive(True),
-    "M": lambda c: c.is_m_tensor(False),
-    "strongM": lambda c: c.is_m_tensor(True),
-    "S": lambda c: c.is_s_tensor(),
-    "S0": lambda c: c.is_s0_tensor(),
-    "completelyS": lambda c: c.is_completely_s(),
-    "completelyS0": lambda c: c.is_completely_s0(),
-}
-
-
 def _run_check(fixture: Fixture, check: dict) -> dict:
     from .core import principal_subtensor
 
@@ -652,7 +624,7 @@ def run_fixtures(config: Config | None = None) -> dict:
         clf = TensorClassifier(fixture.tensor, config)
         labels = []
         for cls_name, expected in fixture.expected.items():
-            verdict = _PREDICATES[cls_name](clf)
+            verdict = CLASSES[cls_name](clf)
             ok = verdict.status == expected
             all_ok &= ok
             any_inconclusive |= verdict.status == INCONCLUSIVE

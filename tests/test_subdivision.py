@@ -276,6 +276,49 @@ class TestSearchNonnegSolution:
         assert np.min(apply(sbar_tensor, v.witness)) > 1e-9 * 2
 
 
+# statuses at a = -1.5, 0, 0.75 of the three searches on the 1x...x1 tensor [a]
+DIM1_STATUSES = {
+    ("component", True): (FAILS, HOLDS, HOLDS),
+    ("component", False): (FAILS, FAILS, HOLDS),
+    ("form", True): (FAILS, FAILS, HOLDS),
+    ("form", False): (FAILS, HOLDS, HOLDS),
+    ("feasibility", True): (FAILS, FAILS, HOLDS),
+    ("feasibility", False): (FAILS, HOLDS, HOLDS),
+}
+SEARCHES = {
+    "component": decide_all_components_negative,
+    "form": decide_form_nonneg,
+    "feasibility": search_nonneg_solution,
+}
+
+
+class TestDimOne:
+    """A one-vertex simplex is a point: decided at the root, never bisected."""
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("k, a", enumerate([-1.5, 0.0, 0.75]))
+    def test_point_decided_at_root(self, search, order, strict, k, a):
+        v = SEARCHES[search](Tensor(np.full((1,) * order, a)), strict)
+        assert v.status == DIM1_STATUSES[search, strict][k]
+        assert (v.nodes, v.depth) == (1, 0)
+        # a component or form Fails and a feasibility Holds carry the point
+        carries_point = (v.status == HOLDS) == (search == "feasibility")
+        if carries_point:
+            assert np.array_equal(v.witness, [1.0])
+        else:
+            assert v.witness is None
+        assert v.worst_bound == a
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_bound_is_the_entry_exactly(self, search):
+        # averaging the six slot permutations of an order-4 entry 0.1 is off by an ulp
+        for a in (0.1, -0.7):
+            v = SEARCHES[search](Tensor(np.full((1,) * 4, a)), True)
+            assert v.worst_bound == a
+
+
 class TestVerdict:
     def test_fails_constructor_validates(self):
         with pytest.raises(WitnessError):
@@ -319,3 +362,19 @@ class TestGridAgreement:
                     grid_says_exists = bool(np.any(g <= eps_abs))
                 assert v.decisive
                 assert (v.status == FAILS) == grid_says_exists
+
+    def test_feasibility_verdicts_match_grid(self, almost_e0_tensor, balanced_tensor,
+                                             sbar_tensor):
+        from tenclass.core import apply_batch, max_abs
+
+        for A in (almost_e0_tensor, balanced_tensor, sbar_tensor):
+            eps_abs = 1e-9 * max_abs(A)
+            g = apply_batch(A, self.grid()).min(axis=1)
+            for strict in (True, False):
+                v = search_nonneg_solution(A, strict=strict)
+                if strict:
+                    grid_says_exists = bool(np.any(g > eps_abs))
+                else:
+                    grid_says_exists = bool(np.any(g >= -eps_abs))
+                assert v.decisive
+                assert (v.status == HOLDS) == grid_says_exists

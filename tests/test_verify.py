@@ -115,9 +115,8 @@ class TestFixtureCorpus:
         assert not report["inconclusive"]
 
     def test_expected_labels_use_known_classes(self):
-        from tenclass.verify import _PREDICATES
+        from tenclass.classifiers import CLASS_NAMES
 
-        extra = {"E0", "E", "C0", "C"}
         for fixture in load_fixtures():
             for name in fixture.expected:
-                assert name in _PREDICATES or name in extra
+                assert name in CLASS_NAMES
