@@ -385,7 +385,10 @@ class TensorClassifier:
         """
         n = self.tensor.dim
         if n < 2:
-            raise ValueError("almost classes need dim >= 2 (no proper principal subtensors)")
+            # the almost classes are defined for n >= 2 only: a 1-dimensional
+            # tensor has no proper principal subtensor, so it is in none of them
+            return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
+                           {"reason": "dim_below_2"})
         nodes = depth = 0
         pending = []
         for J in _nonempty_subsets(n):

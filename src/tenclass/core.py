@@ -141,6 +141,9 @@ class Tensor:
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-d float64 array."""
+    if (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+            and (dim is None or x.size == dim) and np.isfinite(x).all()):
+        return x
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {arr.shape}")
@@ -186,6 +189,52 @@ def _form_subscripts(order: int, batch: bool) -> str:
     return ",".join(ins) + "->"
 
 
+@lru_cache(maxsize=None)
+def _jacobian_subscripts(order: int) -> tuple[str, ...]:
+    """One contraction per slot: the slot's mode stays free, the others take ``x``."""
+    modes = _LETTERS[: order - 1]
+    return tuple(
+        ",".join(["z" + modes] + [c for c in modes if c != free]) + "->z" + free
+        for free in modes
+    )
+
+
+@lru_cache(maxsize=256)
+def _batch_plan(form: bool, order: int, dim: int, rows: int) -> tuple[str, tuple | None]:
+    """``(subscripts, path)`` that evaluate the batch contraction as ``optimize=True`` does.
+
+    The greedy path depends only on the operand shapes, so it is planned once
+    per shape and handed back to ``einsum`` as an explicit path.  A plan of one
+    step over three or more operands is a single call of einsum's C kernel on
+    the operands in reverse order; it comes back as reversed subscripts and
+    ``path=None``.
+    """
+    subscripts = (_form_subscripts if form else _apply_subscripts)(order, True)
+    copies = subscripts.count(",")
+    shapes = [(dim,) * order] + [(rows, dim)] * copies
+    path = np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize="greedy")[0]
+    if len(path) == 2 and len(path[1]) == copies + 1 > 2:
+        ins, out = subscripts.split("->")
+        return ",".join(reversed(ins.split(","))) + "->" + out, None
+    return subscripts, tuple(path)
+
+
+def _contract_batch(A: Tensor, X: np.ndarray, form: bool) -> np.ndarray:
+    """``np.einsum(subscripts, A, X, ..., X, optimize=True)`` without re-planning."""
+    subs, path = _batch_plan(form, A.order, A.dim, X.shape[0])
+    copies = (X,) * (A.order if form else A.order - 1)
+    if path is None:
+        return np.einsum(subs, *copies, A.data)
+    return np.einsum(subs, A.data, *copies, optimize=path)
+
+
+def _as_batch(A: Tensor, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != A.dim:
+        raise ValueError(f"expected shape (k, {A.dim}), got {X.shape}")
+    return X
+
+
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract ``A`` with ``m - 1`` copies of ``x``.
 
@@ -193,53 +242,45 @@ def apply(A: Tensor, x) -> np.ndarray:
     over all index tuples, accumulated in a fixed deterministic order.
     """
     x = as_vector(x, A.dim)
-    if A.order == 1:
+    m = A.order
+    if m == 1:
         return A.data.copy()
-    ops = [A.data] + [x] * (A.order - 1)
-    return np.einsum(_apply_subscripts(A.order, False), *ops, optimize=False)
+    return np.einsum(_apply_subscripts(m, False), A.data, *(x,) * (m - 1))
 
 
 def apply_batch(A: Tensor, X) -> np.ndarray:
     """Vectorized :func:`apply` over the rows of ``X`` (shape ``(k, n)``)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != A.dim:
-        raise ValueError(f"expected shape (k, {A.dim}), got {X.shape}")
-    if A.order == 1:
+    X = _as_batch(A, X)
+    m = A.order
+    if m == 1:
         return np.broadcast_to(A.data, X.shape).copy()
-    ops = [A.data] + [X] * (A.order - 1)
-    return np.einsum(_apply_subscripts(A.order, True), *ops, optimize=True)
+    return _contract_batch(A, X, form=False)
 
 
 def apply_jacobian(A: Tensor, x) -> np.ndarray:
     """Jacobian of ``y -> apply(A, y)`` at ``x`` (an ``n x n`` matrix)."""
     x = as_vector(x, A.dim)
     m = A.order
-    if m == 1:
-        return np.zeros((A.dim, A.dim))
-    modes = _LETTERS[: m - 1]
     J = np.zeros((A.dim, A.dim))
-    for pos in range(m - 1):
-        others = [x] * (m - 2)
-        subs_in = ["z" + modes] + [modes[p] for p in range(m - 1) if p != pos]
-        subs = ",".join(subs_in) + "->z" + modes[pos]
-        J += np.einsum(subs, A.data, *others, optimize=False)
+    if m == 1:
+        return J
+    others = (x,) * (m - 2)
+    for subs in _jacobian_subscripts(m):
+        J += np.einsum(subs, A.data, *others)
     return J
 
 
 def form_value(A: Tensor, x) -> float:
     """Value of the degree-``m`` homogeneous form ``sum a[i1..im] x[i1]...x[im]``."""
     x = as_vector(x, A.dim)
-    ops = [A.data] + [x] * A.order
-    return float(np.einsum(_form_subscripts(A.order, False), *ops, optimize=False))
+    m = A.order
+    return float(np.einsum(_form_subscripts(m, False), A.data, *(x,) * m))
 
 
 def form_batch(A: Tensor, X) -> np.ndarray:
     """Vectorized :func:`form_value` over the rows of ``X``."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != A.dim:
-        raise ValueError(f"expected shape (k, {A.dim}), got {X.shape}")
-    ops = [A.data] + [X] * A.order
-    return np.einsum(_form_subscripts(A.order, True), *ops, optimize=True)
+    X = _as_batch(A, X)
+    return _contract_batch(A, X, form=True)
 
 
 def principal_subtensor(A: Tensor, J) -> Tensor:

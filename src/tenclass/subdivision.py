@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Mapping
 
@@ -152,16 +153,23 @@ def _jsonable(v):
 # simplices
 
 
+@lru_cache(maxsize=None)
+def _edge_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs ``a < b`` of an ``r``-vertex simplex, in lexicographic order."""
+    pairs = np.triu_indices(r, 1)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
 def _longest_edge(V: np.ndarray) -> tuple[int, int]:
     """Vertex pair of the longest edge, ties broken lexicographically."""
-    best = (-1.0, 0, 1)
-    r = V.shape[0]
-    for a in range(r):
-        for b in range(a + 1, r):
-            d = float(np.dot(V[a] - V[b], V[a] - V[b]))
-            if d > best[0]:
-                best = (d, a, b)
-    return best[1], best[2]
+    first, second = _edge_pairs(V.shape[0])
+    if first.size == 0:
+        return 0, 1
+    diff = V.take(first, axis=0) - V.take(second, axis=0)
+    best = int((diff * diff).sum(axis=1).argmax())
+    return int(first[best]), int(second[best])
 
 
 def _bisect(V: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +332,19 @@ def _slot_symmetrized_rows(A: Tensor) -> np.ndarray:
     return acc / count
 
 
+@lru_cache(maxsize=None)
+def _vertex_slices(ndim: int, axes: tuple[int, ...], p: int, q: int) -> tuple:
+    """``(p slice, q slice)`` index tuples along each of ``axes``."""
+    out = []
+    for ax in axes:
+        sl_p = [slice(None)] * ndim
+        sl_p[ax] = p
+        sl_q = [slice(None)] * ndim
+        sl_q[ax] = q
+        out.append((tuple(sl_p), tuple(sl_q)))
+    return tuple(out)
+
+
 def _replace_vertex(coeffs: np.ndarray, axes: tuple[int, ...], p: int, q: int) -> np.ndarray:
     """Coefficient array after replacing vertex ``p`` by the midpoint of ``(p, q)``.
 
@@ -331,14 +352,19 @@ def _replace_vertex(coeffs: np.ndarray, axes: tuple[int, ...], p: int, q: int) -
     along every vertex axis, one axis at a time.
     """
     out = coeffs.copy()
-    base = [slice(None)] * out.ndim
-    for ax in axes:
-        sl_p = list(base)
-        sl_p[ax] = p
-        sl_q = list(base)
-        sl_q[ax] = q
-        out[tuple(sl_p)] = 0.5 * (out[tuple(sl_p)] + out[tuple(sl_q)])
+    for sl_p, sl_q in _vertex_slices(out.ndim, axes, p, q):
+        out[sl_p] = 0.5 * (out[sl_p] + out[sl_q])
     return out
+
+
+def _candidate_points(V: np.ndarray) -> np.ndarray:
+    """The centroid, then the vertices; the centroid is ``V.mean(axis=0)`` bit for bit."""
+    r = V.shape[0]
+    points = np.empty((r + 1, V.shape[1]))
+    np.add.reduce(V, axis=0, out=points[0])
+    points[0] /= r
+    points[1:] = V
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +393,8 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     z = v - floor
     total = 1.0 - n * floor
     u = np.sort(z)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.nonzero(u * np.arange(1, n + 1) > css)[0]
+    css = u.cumsum() - total
+    idx = (u * np.arange(1, n + 1) > css).nonzero()[0]
     rho = idx[-1] if idx.size else 0
     theta = css[rho] / (rho + 1.0)
     return np.maximum(z - theta, 0.0) + floor
@@ -602,9 +628,9 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
             return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
                            worst, {"limit": "tolerance_gap"})
 
-        points = np.vstack([V.mean(axis=0), V])
+        points = _candidate_points(V)
         values = candidate_values(points)
-        best_idx = int(np.argmin(values))
+        best_idx = int(values.argmin())
         if float(values[best_idx]) < polish_gate:
             y = polish(points[best_idx])
             if witness_ok(y)[0]:

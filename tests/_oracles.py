@@ -86,3 +86,30 @@ def grid_form_min(data: np.ndarray, k: int = 200) -> float:
     n = data.shape[0]
     grid = simplex_grid(n, k)
     return min(naive_form(data, y) for y in grid)
+
+
+def loop_longest_edge(V: np.ndarray) -> tuple[int, int]:
+    """Longest edge by a double loop over vertex pairs; the first (a, b) wins a tie."""
+    best = (-1.0, 0, 1)
+    r = V.shape[0]
+    for a in range(r):
+        for b in range(a + 1, r):
+            d = float(np.dot(V[a] - V[b], V[a] - V[b]))
+            if d > best[0]:
+                best = (d, a, b)
+    return best[1], best[2]
+
+
+def loop_apply_jacobian(data: np.ndarray, x) -> np.ndarray:
+    """Jacobian of the contraction as a sum of one einsum per slot, slot by slot."""
+    x = np.asarray(x, dtype=float)
+    n, m = data.shape[0], data.ndim
+    J = np.zeros((n, n))
+    if m == 1:
+        return J
+    modes = "abcdefgh"[: m - 1]
+    for pos in range(m - 1):
+        subs_in = ["z" + modes] + [modes[p] for p in range(m - 1) if p != pos]
+        subs = ",".join(subs_in) + "->z" + modes[pos]
+        J += np.einsum(subs, data, *([x] * (m - 2)), optimize=False)
+    return J

@@ -172,8 +172,13 @@ class TestAlmostSemiPositive:
         assert is_almost_semi_positive(Tensor.identity(3, 2)).status == FAILS
 
     def test_dim1_rejected(self):
-        with pytest.raises(ValueError, match="dim >= 2"):
-            is_almost_semi_positive(Tensor(np.full((1, 1, 1), -1.0)))
+        # the almost classes are defined for dim >= 2 only
+        A = Tensor(np.full((1, 1, 1), -1.0))
+        for v in (is_almost_semi_positive(A), is_almost_semi_positive(A, strict=True),
+                  is_almost_copositive(A), is_almost_copositive(A, strict=True)):
+            assert v.status == FAILS
+            assert v.witness is None
+            assert dict(v.info) == {"reason": "dim_below_2"}
 
     def test_sum_and_product_counterexample(self, sum_pair):
         A, B = sum_pair

@@ -50,6 +50,22 @@ class TestClassifyCommand:
         assert not out.exists()
         assert "(0, 1, 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("a", [-1.5, 0.0, 0.75])
+    def test_dim1_tensor_reports_every_class(self, tmp_path, order, a):
+        f = write_tensor(tmp_path / "dim1.json",
+                         {"order": order, "dim": 1, "format": "coo",
+                          "entries": [[[0] * order, a]]})
+        out = tmp_path / "report.json"
+        code = main(["--out", str(out), "classify", f])
+        assert code != 1
+        doc = json.loads(out.read_text())
+        assert len(doc["verdicts"]) == 19
+        assert doc["consistency_violations"] == []
+        for name in ("almostE0", "almostE", "almostC0", "almostC"):
+            assert doc["verdicts"][name]["status"] == "Fails"
+            assert doc["verdicts"][name]["info"] == {"reason": "dim_below_2"}
+
     def test_malformed_json(self, tmp_path, capsys):
         f = write_tensor(tmp_path / "bad.json", "{not json")
         assert main(["classify", f]) == 1

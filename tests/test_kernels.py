@@ -1,0 +1,235 @@
+"""The engine's contraction and node-step kernels match their plain forms bit for bit.
+
+The engine's verdicts, witnesses and node counts are part of the behaviour
+contract, so every fast path here is compared with ``np.array_equal`` (not a
+tolerance) against the straightforward computation it replaces.
+"""
+
+import heapq
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, form_value
+from tenclass import subdivision
+from tenclass.core import as_vector
+from tenclass.subdivision import _candidate_points, _longest_edge
+from _oracles import loop_apply_jacobian, loop_longest_edge
+
+ORDERS = (1, 2, 3, 4)
+DIMS = range(1, 9)
+
+
+def _modes(m):
+    return "abcd"[:m]
+
+
+def _apply_batch_subscripts(m):
+    modes = _modes(m - 1)
+    return ",".join(["z" + modes] + ["t" + c for c in modes]) + "->tz"
+
+
+def _form_batch_subscripts(m):
+    modes = _modes(m)
+    return ",".join([modes] + ["t" + c for c in modes]) + "->t"
+
+
+def _random_tensor(rng, m, n):
+    return Tensor(rng.normal(size=(n,) * m))
+
+
+def _batches(rng, n):
+    """Batches of 1 and n + 1 rows: general vectors and simplex points."""
+    for k in (1, n + 1):
+        yield rng.normal(size=(k, n))
+        yield rng.dirichlet(np.ones(n), size=k)
+
+
+class TestBatchContractions:
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_apply_batch_equals_optimized_einsum(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        A = _random_tensor(rng, m, n)
+        for X in _batches(rng, n):
+            if m == 1:
+                expected = np.broadcast_to(A.data, X.shape)
+            else:
+                expected = np.einsum(_apply_batch_subscripts(m), A.data,
+                                     *[X] * (m - 1), optimize=True)
+            # the second call runs from the cached plan
+            for _ in range(2):
+                got = apply_batch(A, X)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_form_batch_equals_optimized_einsum(self, m, n):
+        rng = np.random.default_rng(200 * m + n)
+        A = _random_tensor(rng, m, n)
+        for X in _batches(rng, n):
+            expected = np.einsum(_form_batch_subscripts(m), A.data, *[X] * m,
+                                 optimize=True)
+            for _ in range(2):
+                got = form_batch(A, X)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
+    def test_batch_rows_match_pointwise_calls(self):
+        rng = np.random.default_rng(5)
+        A = _random_tensor(rng, 3, 4)
+        X = rng.dirichlet(np.ones(4), size=5)
+        np.testing.assert_allclose(apply_batch(A, X), [apply(A, x) for x in X],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(form_batch(A, X), [form_value(A, x) for x in X],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_batch_shape_rejected(self):
+        A = Tensor.ones(3, 3)
+        with pytest.raises(ValueError, match="expected shape"):
+            apply_batch(A, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="expected shape"):
+            form_batch(A, np.ones(3))
+
+
+class TestPointwiseContractions:
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_jacobian_equals_slot_loop(self, m, n):
+        rng = np.random.default_rng(300 * m + n)
+        A = _random_tensor(rng, m, n)
+        for x in (rng.normal(size=n), rng.dirichlet(np.ones(n))):
+            assert np.array_equal(apply_jacobian(A, x), loop_apply_jacobian(A.data, x))
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("n", DIMS)
+    def test_apply_and_form_equal_plain_einsum(self, m, n):
+        rng = np.random.default_rng(400 * m + n)
+        A = _random_tensor(rng, m, n)
+        x = rng.dirichlet(np.ones(n))
+        modes = _modes(m - 1)
+        apply_subs = ",".join(["z" + modes] + list(modes)) + "->z"
+        form_subs = ",".join([_modes(m)] + list(_modes(m))) + "->"
+        assert np.array_equal(apply(A, x), np.einsum(apply_subs, A.data, *[x] * (m - 1)))
+        assert form_value(A, x) == float(np.einsum(form_subs, A.data, *[x] * m))
+
+
+class TestAsVector:
+    def test_float_vector_passes_through(self):
+        x = np.array([0.25, 0.75])
+        assert as_vector(x, 2) is x
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector(np.array([0.5, bad, 0.5]), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector([0.5, bad])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="expected a vector"):
+            as_vector(np.ones((2, 2)), 2)
+        with pytest.raises(ValueError, match="expected a vector"):
+            as_vector(np.ones((1, 3)), 3)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            as_vector(np.ones(3), 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            as_vector([1.0, 2.0], 3)
+
+    def test_lists_and_int_arrays_converted(self):
+        for x in ([1, 2, 3], np.array([1, 2, 3]), (1.0, 2.0, 3.0)):
+            out = as_vector(x, 3)
+            assert out.dtype == np.float64 and out.ndim == 1
+            assert np.array_equal(out, [1.0, 2.0, 3.0])
+
+    def test_huge_finite_entries_accepted(self):
+        # the entries are finite although their squares overflow
+        x = np.array([1e200, -1e300, 1e308])
+        assert np.array_equal(as_vector(x, 3), x)
+
+
+def _bisection_walk(rng, n, depth):
+    """Vertex arrays met on one random root-to-leaf path of longest-edge bisection."""
+    V = np.eye(n)
+    for _ in range(depth):
+        yield V
+        a, b = loop_longest_edge(V)
+        mid = 0.5 * (V[a] + V[b])
+        V = V.copy()
+        V[b if rng.random() < 0.5 else a] = mid
+
+
+class TestNodeStep:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_longest_edge_matches_loop_to_depth_40(self, n):
+        rng = np.random.default_rng(n)
+        steps = 0
+        for _ in range(40):
+            for V in _bisection_walk(rng, n, 40):
+                assert _longest_edge(V) == loop_longest_edge(V)
+                steps += 1
+        assert steps == 1600
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_standard_simplex_picks_first_pair(self, n):
+        # every edge of the standard simplex has the same length
+        assert _longest_edge(np.eye(n)) == (0, 1)
+        assert loop_longest_edge(np.eye(n)) == (0, 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_candidates_are_centroid_then_vertices(self, n):
+        rng = np.random.default_rng(50 + n)
+        walks = [V for _ in range(5) for V in _bisection_walk(rng, n, 40)] if n > 1 else []
+        for V in walks + [rng.dirichlet(np.ones(n), size=n) for _ in range(20)]:
+            points = _candidate_points(V)
+            assert np.array_equal(points[0], V.mean(axis=0))
+            assert np.array_equal(points[1:], V)
+
+
+class TestTracedNames:
+    """The engine reaches the contractions through the names ``subdivision`` binds.
+
+    The benchmark's per-layer tracing wraps exactly those names and counts one
+    batch call as one heap pop, so a kernel that bypassed them would go unseen.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("apply_batch", "form_batch", "apply", "apply_jacobian", "form_value"):
+            monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
+        monkeypatch.setattr(heapq, "heappop", counting("pop", heapq.heappop))
+        return counts
+
+    def test_component_search_fails_with_polishing(self, calls, almost_e0_tensor):
+        v = subdivision.decide_all_components_negative(almost_e0_tensor, strict=True)
+        assert v.status == subdivision.FAILS
+        # the last pop found the witness after its batch call
+        assert calls["apply_batch"] == calls["pop"] > 0
+        assert calls["form_batch"] == 0
+        assert calls["apply"] > 0 and calls["apply_jacobian"] > 0
+
+    def test_component_search_holds(self, calls):
+        A = Tensor.identity(3, 3)
+        v = subdivision.decide_all_components_negative(A, strict=False)
+        assert v.holds
+        # the certifying pop ends the search before any batch call
+        assert calls["apply_batch"] == calls["pop"] - 1 == (v.nodes - 1) // 2
+
+    def test_form_search_polishes_through_bound_names(self, calls, almost_c_tensor):
+        v = subdivision.decide_form_nonneg(almost_c_tensor, strict=False)
+        assert v.status == subdivision.FAILS
+        assert calls["form_batch"] == calls["pop"] > 0
+        assert calls["apply_batch"] == 0
+        assert calls["form_value"] > 0 and calls["apply"] > 0
