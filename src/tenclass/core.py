@@ -141,15 +141,12 @@ class Tensor:
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to a finite 1-d float64 array."""
-    if (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
-            and (dim is None or x.size == dim) and np.isfinite(x).all()):
-        return x
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {arr.shape}")
     if dim is not None and arr.size != dim:
         raise ValueError(f"dimension mismatch: vector has {arr.size}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector has non-finite entries")
     return arr
 
