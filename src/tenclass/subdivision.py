@@ -19,9 +19,10 @@ coefficient scale normalized by the tensor's largest absolute entry.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -165,8 +166,6 @@ def _edge_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
 def _longest_edge(V: np.ndarray) -> tuple[int, int]:
     """Vertex pair of the longest edge, ties broken lexicographically."""
     first, second = _edge_pairs(V.shape[0])
-    if first.size == 0:
-        return 0, 1
     diff = V.take(first, axis=0) - V.take(second, axis=0)
     best = int((diff * diff).sum(axis=1).argmax())
     return int(first[best]), int(second[best])
@@ -241,6 +240,8 @@ class Simplex:
 
     def longest_edge(self) -> tuple[int, int]:
         """Vertex pair of the longest edge, ties broken lexicographically."""
+        if self.num_vertices < 2:
+            raise ValueError("a single point has no edge")
         return _longest_edge(self.vertices)
 
     def centroid(self) -> np.ndarray:
@@ -248,8 +249,6 @@ class Simplex:
 
     def refine(self) -> tuple["Simplex", "Simplex"]:
         """Bisect the longest edge; the two children partition this simplex."""
-        if self.num_vertices < 2:
-            raise ValueError("cannot bisect a single point")
         first, second = _bisect(self.vertices, *self.longest_edge())
         return (
             Simplex(first, self.depth + 1, validate=False),
@@ -383,31 +382,41 @@ def _sum_zero_basis(n: int) -> np.ndarray:
 
 
 def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Euclidean projection onto ``{y >= floor, sum(y) = 1}``."""
-    v = np.asarray(v, dtype=np.float64)
-    n = v.size
+    """Euclidean projection onto ``{y >= floor, sum(y) = 1}``.
+
+    Scalar code for the few coordinates the engine has: the sequential running
+    sum, the ``rho`` test and the clipping are the IEEE operations of the
+    sort-and-``cumsum`` vector form in the same order, so the result is equal
+    bit for bit.
+    """
+    z = np.asarray(v, dtype=np.float64).tolist()
+    n = len(z)
     if n == 1:
         return np.array([1.0])
     if floor * n >= 1.0:
         floor = 0.5 / n
-    z = v - floor
+    z = [x - floor for x in z]
     total = 1.0 - n * floor
-    u = np.sort(z)[::-1]
-    css = u.cumsum() - total
-    idx = (u * np.arange(1, n + 1) > css).nonzero()[0]
-    rho = idx[-1] if idx.size else 0
+    u = sorted(z, reverse=True)
+    css = [s - total for s in accumulate(u)]
+    rho = next((i for i in range(n - 1, 0, -1) if u[i] * (i + 1) > css[i]), 0)
     theta = css[rho] / (rho + 1.0)
-    return np.maximum(z - theta, 0.0) + floor
+    return np.array([max(x - theta, 0.0) + floor for x in z])
 
 
 def _polish_descent(y0, floor, steps, value_fn, grad_fn):
-    """Projected local descent with backtracking (factor 0.5) on ``value_fn``."""
+    """Projected local descent with backtracking (factor 0.5) on a value.
+
+    ``value_fn(y)`` returns ``(value, aux)`` and ``grad_fn(y, aux)`` the
+    gradient at ``y``, so a contraction ``value_fn`` made is not repeated.
+    Returns the final point and its value.
+    """
     y = _project_simplex(y0, floor)
-    val = value_fn(y)
+    val, aux = value_fn(y)
     step = 0.5
     for _ in range(steps):
-        grad = grad_fn(y)
-        norm = float(np.linalg.norm(grad))
+        grad = grad_fn(y, aux)
+        norm = math.sqrt(grad.dot(grad))  # what np.linalg.norm computes on a real vector
         if norm < 1e-300:
             break
         direction = grad / norm
@@ -415,40 +424,33 @@ def _polish_descent(y0, floor, steps, value_fn, grad_fn):
         improved = False
         for _ in range(25):
             y_new = _project_simplex(y - trial * direction, floor)
-            val_new = value_fn(y_new)
+            val_new, aux_new = value_fn(y_new)
             if val_new < val - 1e-13 * max(1.0, abs(val)):
-                y, val = y_new, val_new
+                y, val, aux = y_new, val_new, aux_new
                 step = min(2.0 * trial, 0.5)
                 improved = True
                 break
             trial *= 0.5
         if not improved:
             break
-    return y
+    return y, val
 
 
-def _equalize(A: Tensor, y0, floor, want_upper: bool, active_width: float,
-              iters: int = 15):
+def _equalize(A: Tensor, y0, floor, active_width: float, iters: int = 15):
     """Gauss-Newton steps driving the near-active components of ``apply`` to zero.
 
     Witness sets can be lower-dimensional (every active component vanishes at
     the witness), where subdivision and subgradient steps close in only
-    linearly; these steps converge at Newton speed.  ``want_upper`` selects the
-    active side: components above ``-active_width`` when chasing ``f <= 0``,
-    below ``+active_width`` when chasing ``f >= 0``.
+    linearly; these steps converge at Newton speed.  The active components are
+    those above ``-active_width``; a step is kept when it lowers the largest
+    component.  Returns the best point and its largest component.
     """
     y = _project_simplex(y0, floor)
     basis = _sum_zero_basis(y.size)
-
-    def score(vec):
-        f = apply(A, vec)
-        return float(f.max()) if want_upper else float(-f.min())
-
-    best_y = y
-    best = score(y)
+    f = apply(A, y)
+    best_y, best = y, float(f.max())
     for _ in range(iters):
-        f = apply(A, y)
-        active = (f > -active_width) if want_upper else (f < active_width)
+        active = f > -active_width
         if not np.any(active):
             break
         J = apply_jacobian(A, y)[active] @ basis
@@ -458,16 +460,17 @@ def _equalize(A: Tensor, y0, floor, want_upper: bool, active_width: float,
         stepped = False
         for _ in range(8):
             y_new = _project_simplex(y + damp * dy, floor)
-            s_new = score(y_new)
+            f_new = apply(A, y_new)
+            s_new = float(f_new.max())
             if s_new < best - 1e-16:
-                y = y_new
+                y, f = y_new, f_new
                 best_y, best = y_new, s_new
                 stepped = True
                 break
             damp *= 0.5
         if not stepped:
             break
-    return best_y
+    return best_y, best
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +529,23 @@ def decide_all_components_negative(
     floor = interior_margin
     threshold = -eps_abs if strict else eps_abs
 
-    def gmax(y):
-        return float(np.max(apply(A, y)))
-
     def witness_ok(y):
-        g = gmax(y)
+        g = float(np.max(apply(A, y)))
         below = g < threshold if strict else g <= threshold
         return (below and float(np.min(y)) >= floor * 0.999), g
 
-    def grad_fn(v):
-        f = apply(A, v)
-        return apply_jacobian(A, v)[int(np.argmax(f))]
+    def value_fn(y):
+        f = apply(A, y)
+        return float(f.max()), f
+
+    def grad_fn(y, f):
+        return apply_jacobian(A, y)[int(f.argmax())]
 
     def polish(y):
-        y = _polish_descent(y, floor, polish_steps, gmax, grad_fn)
-        if not strict and gmax(y) > eps_abs:
-            y2 = _equalize(A, y, floor, want_upper=True, active_width=0.25 * scale)
-            if gmax(y2) < gmax(y):
+        y, g = _polish_descent(y, floor, polish_steps, value_fn, grad_fn)
+        if not strict and g > eps_abs:
+            y2, g2 = _equalize(A, y, floor, active_width=0.25 * scale)
+            if g2 < g:
                 y = y2
         return y
 
@@ -581,8 +584,8 @@ def decide_form_nonneg(
         return (v <= threshold if strict else v < threshold), v
 
     def polish(y):
-        return _polish_descent(y, 0.0, polish_steps, lambda v: form_value(A, v),
-                               lambda v: m * apply(sym, v))
+        return _polish_descent(y, 0.0, polish_steps, lambda v: (form_value(A, v), None),
+                               lambda v, _: m * apply(sym, v))[0]
 
     return _min_search(
         A, sym.data, tuple(range(m)), lambda coeffs: float(coeffs.min()),
@@ -608,6 +611,7 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
     heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
     polish_gate = threshold + _POLISH_TRIGGER * scale
+    polished = set()  # byte keys of the start points polished so far
 
     def fails(y):
         return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
@@ -632,9 +636,13 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
         values = candidate_values(points)
         best_idx = int(values.argmin())
         if float(values[best_idx]) < polish_gate:
-            y = polish(points[best_idx])
-            if witness_ok(y)[0]:
-                return fails(y)
+            # polishing is deterministic: a start polished before failed before
+            start = points[best_idx].tobytes()
+            if start not in polished:
+                polished.add(start)
+                y = polish(points[best_idx])
+                if witness_ok(y)[0]:
+                    return fails(y)
             polish_gate = threshold + 0.5 * (polish_gate - threshold)
 
         if depth >= max_depth:

@@ -10,8 +10,8 @@ report for triage.  Undecided instances are counted separately.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -502,44 +502,67 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, count: int | None = None,
-              config: Config | None = None, threads: int | None = None) -> dict:
-    """Run one suite; the report is deterministic for fixed (seed, config)."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn, default_count, description = SUITES[name]
-    count = default_count if count is None else count
-    config = config or Config()
+def _suite_instance(name: str, seed: int, config: Config, i: int):
+    """Instance ``i`` of suite ``name``; module level so a worker process can run it."""
+    return SUITES[name][0](i, seed, config)
+
+
+def _run_instances(jobs: list[tuple[str, int]], seed: int, config: Config,
+                   threads: int | None) -> list:
+    """Results of the ``(suite name, instance)`` jobs, in order.
+
+    With more than one worker (at most ``threads``, one per CPU) the jobs run
+    in freshly spawned worker processes; the ordered ``map`` keeps the results
+    independent of the worker count.
+    """
     threads = thread_count() if threads is None else max(1, threads)
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    args = ([name for name, _ in jobs], repeat(seed), repeat(config), [i for _, i in jobs])
+    if workers > 1:
+        # loaded here: a serial run, the default, pays no import time or memory for it
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    def one(i):
-        return fn(i, seed, config)
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(_suite_instance, *args))
+    return list(map(_suite_instance, *args))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(count)))
-    else:
-        results = [one(i) for i in range(count)]
 
+def _suite_report(name: str, seed: int, config: Config, results: list) -> dict:
     violations = [detail for status, detail in results if status == "violation"]
     inconclusive = sum(1 for status, _ in results if status == "inconclusive")
     return {
         "suite": name,
-        "description": description,
+        "description": SUITES[name][2],
         "seed": seed,
-        "instances": count,
+        "instances": len(results),
         "violations": violations,
         "inconclusive": inconclusive,
         "config": config.to_json(),
     }
 
 
+def run_suite(name: str, seed: int = 0, count: int | None = None,
+              config: Config | None = None, threads: int | None = None) -> dict:
+    """Run one suite; the report is deterministic for fixed (seed, config)."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    count = SUITES[name][1] if count is None else count
+    config = config or Config()
+    results = _run_instances([(name, i) for i in range(count)], seed, config, threads)
+    return _suite_report(name, seed, config, results)
+
+
 def run_all(seed: int = 0, count: int | None = None, config: Config | None = None,
             threads: int | None = None) -> dict:
-    reports = {}
-    for name in SUITES:
-        reports[name] = run_suite(name, seed=seed, count=count, config=config,
-                                  threads=threads)
+    """Run every suite; the instances of all suites share one worker pool."""
+    config = config or Config()
+    counts = {name: default if count is None else count
+              for name, (_, default, _) in SUITES.items()}
+    jobs = [(name, i) for name, c in counts.items() for i in range(c)]
+    results = iter(_run_instances(jobs, seed, config, threads))
+    reports = {name: _suite_report(name, seed, config, list(islice(results, c)))
+               for name, c in counts.items()}
     total_violations = sum(len(r["violations"]) for r in reports.values())
     total_inconclusive = sum(r["inconclusive"] for r in reports.values())
     total_instances = sum(r["instances"] for r in reports.values())

@@ -113,3 +113,21 @@ def loop_apply_jacobian(data: np.ndarray, x) -> np.ndarray:
         subs = ",".join(subs_in) + "->z" + modes[pos]
         J += np.einsum(subs, data, *([x] * (m - 2)), optimize=False)
     return J
+
+
+def numpy_project_simplex(v, floor: float = 0.0) -> np.ndarray:
+    """Projection onto ``{y >= floor, sum(y) = 1}`` in the sort-and-cumsum vector form."""
+    v = np.asarray(v, dtype=np.float64)
+    n = v.size
+    if n == 1:
+        return np.array([1.0])
+    if floor * n >= 1.0:
+        floor = 0.5 / n
+    z = v - floor
+    total = 1.0 - n * floor
+    u = np.sort(z)[::-1]
+    css = u.cumsum() - total
+    idx = (u * np.arange(1, n + 1) > css).nonzero()[0]
+    rho = idx[-1] if idx.size else 0
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(z - theta, 0.0) + floor

@@ -1,4 +1,4 @@
-"""The engine's contraction and node-step kernels match their plain forms bit for bit.
+"""The engine's contraction, node-step and polishing kernels match their plain forms bit for bit.
 
 The engine's verdicts, witnesses and node counts are part of the behaviour
 contract, so every fast path here is compared with ``np.array_equal`` (not a
@@ -14,8 +14,13 @@ import pytest
 from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, form_value
 from tenclass import subdivision
 from tenclass.core import as_vector
-from tenclass.subdivision import _candidate_points, _longest_edge
-from _oracles import loop_apply_jacobian, loop_longest_edge
+from tenclass.subdivision import (
+    _candidate_points,
+    _longest_edge,
+    _polish_descent,
+    _project_simplex,
+)
+from _oracles import loop_apply_jacobian, loop_longest_edge, numpy_project_simplex
 
 ORDERS = (1, 2, 3, 4)
 DIMS = range(1, 9)
@@ -233,3 +238,80 @@ class TestTracedNames:
         assert calls["form_batch"] == calls["pop"] > 0
         assert calls["apply_batch"] == 0
         assert calls["form_value"] > 0 and calls["apply"] > 0
+
+
+def _projection_inputs(rng, n, count):
+    """Seeded vectors at magnitudes 1e-3..1e3: general, near-simplex, and tied with signed zeros."""
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))
+    third = count // 3
+    general = rng.normal(size=(third, n))
+    near = rng.dirichlet(np.ones(n), size=third) + 1e-3 * rng.normal(size=(third, n))
+    tied = np.round(rng.normal(size=(count - 2 * third, n)) * 2.0) / 2.0
+    tied[rng.random(tied.shape) < 0.3] = -0.0
+    return np.vstack([general, near, tied]) * mags
+
+
+class TestProjection:
+    """The scalar projection equals the sort-and-cumsum vector form bit for bit."""
+
+    FLOORS = (0.0, 1e-6, 0.3)  # 0.3 * n >= 1 from n = 4 on: the clamped floor
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_scalar_equals_vector_form(self, n):
+        rng = np.random.default_rng([7, n])
+        checked = 0
+        for floor in self.FLOORS:
+            for v in _projection_inputs(rng, n, 4200):
+                got = _project_simplex(v, floor)
+                want = numpy_project_simplex(v, floor)
+                assert np.array_equal(got, want), (v, floor)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (v, floor)
+                checked += 1
+        # 8 dimensions x 12,600 vectors: over 100,000 seeded inputs in all
+        assert checked == 12_600
+
+    def test_descent_returns_the_value_of_its_point(self, almost_e0_tensor):
+        A = almost_e0_tensor
+
+        def value_fn(y):
+            f = apply(A, y)
+            return float(f.max()), f
+
+        y, val = _polish_descent(np.array([0.9, 0.1]), 1e-6, 50, value_fn,
+                                 lambda y, f: apply_jacobian(A, y)[int(f.argmax())])
+        assert val == float(apply(A, y).max())
+
+
+# A tensor drawn by ``verify.run_all(3000, count=3)`` (the first pass of the
+# verify_suites benchmark at seed 3).  Before starts were remembered, its
+# strict component search polished 25 times from 12 distinct points and its
+# form search 15 times from 9.
+REPEATING_TENSOR = Tensor(np.array([
+    [[6.169286665284805, -1.9686933052328046], [-1.9686933052328046, -1.8847008772721094]],
+    [[-1.9686933052328044, -1.8847008772721092], [-1.8847008772721092, 5.412875719161666]],
+]))
+
+
+class TestPolishStarts:
+    """Polishing is deterministic, so a search never polishes the same start twice."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        seen = []
+
+        def recording(y0, *args):
+            seen.append(np.asarray(y0).tobytes())
+            return _polish_descent(y0, *args)
+
+        monkeypatch.setattr(subdivision, "_polish_descent", recording)
+        return seen
+
+    def test_component_search(self, starts):
+        v = subdivision.decide_all_components_negative(REPEATING_TENSOR, strict=True)
+        assert (v.status, v.nodes) == (subdivision.HOLDS, 59)
+        assert len(starts) == len(set(starts)) == 12
+
+    def test_form_search(self, starts):
+        v = subdivision.decide_form_nonneg(REPEATING_TENSOR, strict=False)
+        assert (v.status, v.nodes) == (subdivision.HOLDS, 31)
+        assert len(starts) == len(set(starts)) == 9

@@ -43,6 +43,13 @@ class TestSimplex:
         with pytest.raises(ValueError, match="degenerate"):
             Simplex(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
+    def test_single_point_has_no_edge(self):
+        point = Simplex([[1.0]])
+        with pytest.raises(ValueError, match="single point"):
+            point.longest_edge()
+        with pytest.raises(ValueError, match="single point"):
+            point.refine()
+
     def test_segment_bisection(self):
         S = standard_simplex(2)
         left, right = refine(S)

@@ -9,6 +9,7 @@ from tenclass import (
     is_diag_dominant,
     is_m_tensor,
     load_fixtures,
+    run_all,
     run_fixtures,
     run_suite,
 )
@@ -94,6 +95,19 @@ class TestSuites:
         r1 = canonical_dumps(run_suite("dd_implies_E0", seed=7, count=10, threads=1))
         r2 = canonical_dumps(run_suite("dd_implies_E0", seed=7, count=10, threads=4))
         assert r1 == r2
+
+    @pytest.mark.parametrize("name", ["almost_E_trichotomy", "z_E0_iff_M"])
+    def test_process_pool_matches_serial(self, name):
+        # these suites carry witnesses and details through the worker processes
+        serial = canonical_dumps(run_suite(name, seed=7, count=8, threads=1))
+        pooled = canonical_dumps(run_suite(name, seed=7, count=8, threads=2))
+        assert serial == pooled
+
+    def test_run_all_splits_one_pool_by_suite(self):
+        serial = run_all(seed=5, count=2, threads=1)
+        assert canonical_dumps(run_all(seed=5, count=2, threads=2)) == canonical_dumps(serial)
+        for name, report in serial["suites"].items():
+            assert report == run_suite(name, seed=5, count=2, threads=1)
 
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TENCLASS_THREADS", "6")
