@@ -11,7 +11,9 @@ on the spectral radius enclosure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "Config",
     "CLASSES",
     "CLASS_NAMES",
+    "THEOREMS",
     "ClassificationReport",
     "ZDecomposition",
     "NotZTensorError",
@@ -302,7 +305,19 @@ class TensorClassifier:
         self._component: dict[tuple, Verdict] = {}
         self._form: dict[tuple, Verdict] = {}
         self._feasible: dict[tuple, Verdict] = {}
+        self._verdicts: dict[str, Verdict] = {}
         self._full = tuple(range(A.dim))
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return is_symmetric(self.tensor)
+
+    def verdict(self, name: str) -> Verdict:
+        """The verdict on class ``name`` (a ``CLASSES`` key), computed once."""
+        v = self._verdicts.get(name)
+        if v is None:
+            v = self._verdicts[name] = CLASSES[name](self)
+        return v
 
     # -- cached engine calls ------------------------------------------------
 
@@ -486,21 +501,24 @@ class TensorClassifier:
 
     def classify(self) -> "ClassificationReport":
         A = self.tensor
-        verdicts = {name: predicate(self) for name, predicate in CLASSES.items()}
-        symmetric = is_symmetric(A)
+        verdicts = {name: self.verdict(name) for name in CLASSES}
         return ClassificationReport(
             digest=tensor_digest(A),
             order=A.order,
             dim=A.dim,
-            symmetric=symmetric,
+            symmetric=self.symmetric,
             config=self.config,
             verdicts=verdicts,
-            violations=_consistency(A, symmetric, verdicts),
+            violations=[name for name, rule in THEOREMS.items() if rule(self) == FAILS],
         )
 
 
+def _truth(flag: bool) -> str:
+    return HOLDS if flag else FAILS
+
+
 def _trivial(flag: bool) -> Verdict:
-    return Verdict(HOLDS if flag else FAILS, None, 0.0, 0, 0, None)
+    return Verdict(_truth(flag), None, 0.0, 0, 0, None)
 
 
 # every class and its predicate on a TensorClassifier; the order is the order
@@ -529,6 +547,94 @@ CLASSES = {
 CLASS_NAMES = tuple(CLASSES)
 
 
+# ---------------------------------------------------------------------------
+# theorem table
+#
+# A rule takes a TensorClassifier and returns the three-valued truth of one
+# implication between classes on its tensor: Holds when it is satisfied
+# (also when its guard or premise is false), Fails when it is violated (an
+# engine or tolerance bug) and Inconclusive when undecided.  A term is a
+# class name, read through ``TensorClassifier.verdict``, or a function of the
+# classifier returning a status.
+
+
+def _status(c: TensorClassifier, term) -> str:
+    return c.verdict(term).status if isinstance(term, str) else term(c)
+
+
+def _implies(premise, conclusion):
+    def rule(c):
+        p = _status(c, premise)
+        if p == HOLDS:
+            return _status(c, conclusion)
+        return HOLDS if p == FAILS else INCONCLUSIVE
+    return rule
+
+
+def _both(combine, a, b):
+    """Evaluates both terms; undecided unless both are decisive."""
+    def rule(c):
+        pair = (_status(c, a), _status(c, b))
+        if INCONCLUSIVE in pair:
+            return INCONCLUSIVE
+        return _truth(combine(pair[0] == HOLDS, pair[1] == HOLDS))
+    return rule
+
+
+def _when(guard, rule):
+    return lambda c: rule(c) if guard(c) else HOLDS
+
+
+def _iff(a, b):
+    return _both(operator.eq, a, b)
+
+
+def _symmetric(c):
+    return c.symmetric
+
+
+def _z(c):
+    return c.verdict("Z").holds
+
+
+def _no_nonneg_row(c):
+    return _truth(has_nonneg_row_subtensor(c.tensor) is None)
+
+
+def _entry_signs(strict: bool):
+    return lambda c: _truth(entry_conditions(c.tensor).satisfied(strict))
+
+
+# the theorems ``classify`` cross-checks and the suites test, by name; the
+# order is the order of ``consistency_violations``
+THEOREMS = {
+    "E_implies_E0": _implies("E", "E0"),
+    "C_implies_C0": _implies("C", "C0"),
+    "C0_implies_E0": _implies("C0", "E0"),
+    "S_implies_S0": _implies("S", "S0"),
+    "completelyS_implies_S": _implies("completelyS", "S"),
+    "completelyS0_implies_S0": _implies("completelyS0", "S0"),
+    "completelyS_implies_completelyS0": _implies("completelyS", "completelyS0"),
+    "nonneg_implies_E0": _implies("nonneg", "E0"),
+    "positive_implies_E": _implies("positive", "E"),
+    "sym_E0_implies_C0": _when(_symmetric, _implies("E0", "C0")),
+    "sym_almostE0_iff_almostC0": _when(_symmetric, _iff("almostE0", "almostC0")),
+    "sym_almostE_iff_almostC": _when(_symmetric, _iff("almostE", "almostC")),
+    "z_E0_iff_M": _when(_z, _iff("E0", "M")),
+    "z_E_iff_strongM": _when(_z, _iff("E", "strongM")),
+    "strongM_implies_M": _when(_z, _implies("strongM", "M")),
+    "dd_nonneg_diag_implies_E0": _when(lambda c: bool(np.all(diag(c.tensor) >= 0.0)),
+                                       _implies("diagDominant", "E0")),
+    "sdd_positive_diag_implies_E": _when(lambda c: bool(np.all(diag(c.tensor) > 0.0)),
+                                         _implies("strictDiagDominant", "E")),
+    "almostE0_row_subtensor_without_negative_entry": _implies("almostE0", _no_nonneg_row),
+    "almostE0_entry_conditions_violated": _implies("almostE0", _entry_signs(False)),
+    "almostE_row_subtensor_without_negative_entry": _implies("almostE", _no_nonneg_row),
+    "almostE_entry_conditions_violated": _implies("almostE", _entry_signs(True)),
+    "almostE_outside_trichotomy": _implies("almostE", _both(operator.or_, "almostE0", "E0")),
+}
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Per-class verdicts for one tensor plus the logical cross-checks."""
@@ -555,60 +661,6 @@ class ClassificationReport:
             "verdicts": {name: self.verdicts[name].to_json() for name in CLASS_NAMES},
             "consistency_violations": list(self.violations),
         }
-
-
-def _consistency(A: Tensor, symmetric: bool, verdicts: dict) -> list[str]:
-    """Cross-checks among decisive verdicts; a nonempty result flags an engine bug."""
-    v = verdicts
-
-    def dec(name):
-        return v[name].decisive
-
-    def holds(name):
-        return v[name].status == HOLDS
-
-    out = []
-
-    def implies(name, a, b):
-        if dec(a) and dec(b) and holds(a) and not holds(b):
-            out.append(name)
-
-    def iff(name, a, b):
-        if dec(a) and dec(b) and holds(a) != holds(b):
-            out.append(name)
-
-    implies("E_implies_E0", "E", "E0")
-    implies("C_implies_C0", "C", "C0")
-    implies("C0_implies_E0", "C0", "E0")
-    implies("S_implies_S0", "S", "S0")
-    implies("completelyS_implies_S", "completelyS", "S")
-    implies("completelyS0_implies_S0", "completelyS0", "S0")
-    implies("completelyS_implies_completelyS0", "completelyS", "completelyS0")
-    implies("nonneg_implies_E0", "nonneg", "E0")
-    implies("positive_implies_E", "positive", "E")
-    if symmetric:
-        implies("sym_E0_implies_C0", "E0", "C0")
-        iff("sym_almostE0_iff_almostC0", "almostE0", "almostC0")
-        iff("sym_almostE_iff_almostC", "almostE", "almostC")
-    if holds("Z"):
-        iff("z_E0_iff_M", "E0", "M")
-        iff("z_E_iff_strongM", "E", "strongM")
-        implies("strongM_implies_M", "strongM", "M")
-    d = diag(A)
-    if holds("diagDominant") and np.all(d >= 0.0):
-        implies("dd_nonneg_diag_implies_E0", "diagDominant", "E0")
-    if holds("strictDiagDominant") and np.all(d > 0.0):
-        implies("sdd_positive_diag_implies_E", "strictDiagDominant", "E")
-    for name in ("almostE0", "almostE"):
-        if dec(name) and holds(name):
-            if has_nonneg_row_subtensor(A) is not None:
-                out.append(f"{name}_row_subtensor_without_negative_entry")
-            if not entry_conditions(A).satisfied(strict=(name == "almostE")):
-                out.append(f"{name}_entry_conditions_violated")
-    if dec("almostE") and holds("almostE"):
-        if dec("almostE0") and dec("E0") and not (holds("almostE0") or holds("E0")):
-            out.append("almostE_outside_trichotomy")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .classifiers import (
-    CLASSES,
+    THEOREMS,
     Config,
     TensorClassifier,
     _nonempty_subsets,
@@ -29,8 +29,6 @@ from .core import (
     Tensor,
     add,
     apply,
-    is_nonneg,
-    is_positive,
     form_value,
     permute,
     scale_rows,
@@ -38,7 +36,7 @@ from .core import (
     symmetrize,
 )
 from .spectral import spectral_radius_nonneg
-from .subdivision import HOLDS, INCONCLUSIVE
+from .subdivision import FAILS, HOLDS, INCONCLUSIVE
 from .tensor_io import parse_tensor, tensor_to_json
 
 __all__ = [
@@ -221,29 +219,34 @@ def _violation(i, detail, *tensors):
     }
 
 
+def _checks(i, *checks):
+    """Outcome of instance ``i`` from ``(classifier, name)`` checks.
+
+    ``name`` is a ``THEOREMS`` rule or a class the tensor must be in.  The
+    checks run in order up to the first violation, whose detail is the name;
+    without one, any undecided check makes the instance inconclusive.
+    """
+    undecided = False
+    for clf, name in checks:
+        status = THEOREMS[name](clf) if name in THEOREMS else clf.verdict(name).status
+        if status == FAILS:
+            return "violation", _violation(i, name, clf.tensor)
+        undecided |= status == INCONCLUSIVE
+    return ("inconclusive", None) if undecided else ("ok", None)
+
+
 def _suite_dd(i, seed, config):
     rng = np.random.default_rng([seed, 20, i])
     m, n = _SIZES[i % len(_SIZES)]
     A = _gen_diag_dominant(rng, m, n, strict=False)
-    v = TensorClassifier(A, config).is_semi_positive(False)
-    if v.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not v.holds:
-        return "violation", _violation(i, "diagonally dominant tensor not semi-positive", A)
-    return "ok", None
+    return _checks(i, (TensorClassifier(A, config), "dd_nonneg_diag_implies_E0"))
 
 
 def _suite_sdd(i, seed, config):
     rng = np.random.default_rng([seed, 21, i])
     m, n = _SIZES[i % len(_SIZES)]
     A = _gen_diag_dominant(rng, m, n, strict=True)
-    v = TensorClassifier(A, config).is_semi_positive(True)
-    if v.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not v.holds:
-        return "violation", _violation(
-            i, "strictly diagonally dominant tensor not strictly semi-positive", A)
-    return "ok", None
+    return _checks(i, (TensorClassifier(A, config), "sdd_positive_diag_implies_E"))
 
 
 def _suite_nonneg(i, seed, config):
@@ -251,16 +254,8 @@ def _suite_nonneg(i, seed, config):
     m, n = _SIZES[i % len(_SIZES)]
     A = _gen_nonneg(rng, m, n)
     P = Tensor(A.data + 0.05)
-    assert is_nonneg(A) and is_positive(P)
-    v0 = TensorClassifier(A, config).is_semi_positive(False)
-    v1 = TensorClassifier(P, config).is_semi_positive(True)
-    if INCONCLUSIVE in (v0.status, v1.status):
-        return "inconclusive", None
-    if not v0.holds:
-        return "violation", _violation(i, "nonnegative tensor not semi-positive", A)
-    if not v1.holds:
-        return "violation", _violation(i, "positive tensor not strictly semi-positive", P)
-    return "ok", None
+    return _checks(i, (TensorClassifier(A, config), "nonneg_implies_E0"),
+                   (TensorClassifier(P, config), "positive_implies_E"))
 
 
 def _suite_z(i, seed, config):
@@ -272,27 +267,11 @@ def _suite_z(i, seed, config):
     factor = (0.5, 1.0, 1.5)[i % 3]
     A, _, _ = _gen_z(rng, m, n, factor)
     clf = TensorClassifier(A, config)
-    undecided = False
-    e0 = clf.is_semi_positive(False)
-    mv = clf.is_m_tensor(False)
-    if e0.decisive and mv.decisive:
-        if e0.holds != mv.holds:
-            return "violation", _violation(
-                i, f"E0={e0.status} vs M={mv.status} (factor {factor})", A)
-    else:
-        undecided = True
-    if factor != 1.0:
-        # at t = rho exactly, strong membership sits on the boundary and is not
-        # numerically decidable; the equivalence is exercised off the boundary
-        e = clf.is_semi_positive(True)
-        sm = clf.is_m_tensor(True)
-        if e.decisive and sm.decisive:
-            if e.holds != sm.holds:
-                return "violation", _violation(
-                    i, f"E={e.status} vs strongM={sm.status} (factor {factor})", A)
-        else:
-            undecided = True
-    return ("inconclusive", None) if undecided else ("ok", None)
+    # t at the midpoint of the radius enclosure sits on the E boundary, which
+    # is not numerically decidable; the E / strong M equivalence is exercised
+    # off the boundary
+    rules = ("z_E0_iff_M",) if factor == 1.0 else ("z_E0_iff_M", "z_E_iff_strongM")
+    return _checks(i, *((clf, rule) for rule in rules))
 
 
 def _suite_cop_implies_semi(i, seed, config):
@@ -301,18 +280,7 @@ def _suite_cop_implies_semi(i, seed, config):
     A = Tensor(rng.uniform(-0.3, 1.0, (n,) * m))
     if i % 2:
         A = symmetrize(A)
-    clf = TensorClassifier(A, config)
-    c0 = clf.is_copositive(False)
-    if c0.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not c0.holds:
-        return "ok", None
-    e0 = clf.is_semi_positive(False)
-    if e0.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not e0.holds:
-        return "violation", _violation(i, "copositive tensor not semi-positive", A)
-    return "ok", None
+    return _checks(i, (TensorClassifier(A, config), "C0_implies_E0"))
 
 
 def _suite_sym_semi_implies_cop(i, seed, config):
@@ -320,18 +288,7 @@ def _suite_sym_semi_implies_cop(i, seed, config):
     m, n = _SIZES[i % len(_SIZES)]
     shift = (0.0, 0.5, 1.5)[i % 3]
     A = _gen_symmetric(rng, m, n, shift=shift)
-    clf = TensorClassifier(A, config)
-    e0 = clf.is_semi_positive(False)
-    if e0.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not e0.holds:
-        return "ok", None
-    c0 = clf.is_copositive(False)
-    if c0.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not c0.holds:
-        return "violation", _violation(i, "symmetric semi-positive tensor not copositive", A)
-    return "ok", None
+    return _checks(i, (TensorClassifier(A, config), "sym_E0_implies_C0"))
 
 
 def _sym_almost_seed(which: int) -> Tensor:
@@ -361,19 +318,7 @@ def _suite_sym_almost_iff(i, seed, config):
         A = scale_rows(scale_modes(A, d), d)
         A = permute(A, rng.permutation(A.dim))
     clf = TensorClassifier(A, config)
-    undecided = False
-    for strict in (False, True):
-        semi = clf.is_almost_semi_positive(strict)
-        cop = clf.is_almost_copositive(strict)
-        if semi.decisive and cop.decisive:
-            if semi.holds != cop.holds:
-                label = "almostE/almostC" if strict else "almostE0/almostC0"
-                return "violation", _violation(
-                    i, f"symmetric tensor disagrees on {label}: "
-                       f"{semi.status} vs {cop.status}", A)
-        else:
-            undecided = True
-    return ("inconclusive", None) if undecided else ("ok", None)
+    return _checks(i, (clf, "sym_almostE0_iff_almostC0"), (clf, "sym_almostE_iff_almostC"))
 
 
 def _suite_almost_invariance(i, seed, config):
@@ -441,16 +386,7 @@ def _suite_stabilizer(i, seed, config):
     if res > 1e-10:
         return "violation", _violation(i, f"stabilized image norm {res} exceeds 1e-10", A)
     clf = TensorClassifier(A2, config)
-    ae = clf.is_almost_semi_positive(True)
-    cs0 = clf.is_completely_s0()
-    if INCONCLUSIVE in (ae.status, cs0.status):
-        return "inconclusive", None
-    if not ae.holds:
-        return "violation", _violation(i, "stabilized tensor not almost strictly "
-                                          "semi-positive", A2)
-    if not cs0.holds:
-        return "violation", _violation(i, "stabilized tensor not completely S0", A2)
-    return "ok", None
+    return _checks(i, (clf, "almostE"), (clf, "completelyS0"))
 
 
 def _suite_trichotomy(i, seed, config):
@@ -461,21 +397,7 @@ def _suite_trichotomy(i, seed, config):
     m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
     _, _, _, A2 = _stabilized(rng, m, n, config)
     clf = TensorClassifier(A2, config)
-    ae = clf.is_almost_semi_positive(True)
-    if ae.status == INCONCLUSIVE:
-        return "inconclusive", None
-    if not ae.holds:
-        return "violation", _violation(i, "stabilized tensor not almost strictly "
-                                          "semi-positive", A2)
-    ae0 = clf.is_almost_semi_positive(False)
-    e0 = clf.is_semi_positive(False)
-    if INCONCLUSIVE in (ae0.status, e0.status):
-        return "inconclusive", None
-    if not (ae0.holds or e0.holds):
-        return "violation", _violation(
-            i, "almost strictly semi-positive tensor neither almost semi-positive "
-               "nor semi-positive", A2)
-    return "ok", None
+    return _checks(i, (clf, "almostE"), (clf, "almostE_outside_trichotomy"))
 
 
 SUITES = {
@@ -647,7 +569,7 @@ def run_fixtures(config: Config | None = None) -> dict:
         clf = TensorClassifier(fixture.tensor, config)
         labels = []
         for cls_name, expected in fixture.expected.items():
-            verdict = CLASSES[cls_name](clf)
+            verdict = clf.verdict(cls_name)
             ok = verdict.status == expected
             all_ok &= ok
             any_inconclusive |= verdict.status == INCONCLUSIVE
