@@ -12,7 +12,7 @@ on the spectral radius enclosure.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -290,6 +290,14 @@ def _embed(y: np.ndarray, J: tuple[int, ...], n: int) -> np.ndarray:
     return full
 
 
+def _memo(cache: dict, key, compute):
+    """``cache[key]``, filled by ``compute()`` on the first request."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = compute()
+    return value
+
+
 class TensorClassifier:
     """Caches per-subset engine decisions so the class predicates share work."""
 
@@ -314,75 +322,50 @@ class TensorClassifier:
 
     def verdict(self, name: str) -> Verdict:
         """The verdict on class ``name`` (a ``CLASSES`` key), computed once."""
-        v = self._verdicts.get(name)
-        if v is None:
-            v = self._verdicts[name] = CLASSES[name](self)
-        return v
+        return _memo(self._verdicts, name, lambda: CLASSES[name](self))
 
     # -- cached engine calls ------------------------------------------------
 
     def subtensor(self, J: tuple[int, ...]) -> Tensor:
-        sub = self._sub.get(J)
-        if sub is None:
-            sub = self.tensor if J == self._full else principal_subtensor(self.tensor, J)
-            self._sub[J] = sub
-        return sub
+        return _memo(self._sub, J, lambda: self.tensor if J == self._full
+                     else principal_subtensor(self.tensor, J))
 
     def component_decision(self, J: tuple[int, ...], engine_strict: bool) -> Verdict:
-        key = (J, engine_strict)
-        v = self._component.get(key)
-        if v is None:
-            cfg = self.config
-            v = decide_all_components_negative(
-                self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth,
-                max_nodes=cfg.max_nodes, interior_margin=cfg.interior_margin,
-            )
-            self._component[key] = v
-        return v
+        cfg = self.config
+        return _memo(self._component, (J, engine_strict), lambda: decide_all_components_negative(
+            self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth,
+            max_nodes=cfg.max_nodes, interior_margin=cfg.interior_margin))
 
     def form_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        key = (J, strict)
-        v = self._form.get(key)
-        if v is None:
-            cfg = self.config
-            v = decide_form_nonneg(
-                self.subtensor(J), strict, cfg.epsilon, cfg.max_depth,
-                max_nodes=cfg.max_nodes,
-            )
-            self._form[key] = v
-        return v
+        cfg = self.config
+        return _memo(self._form, (J, strict), lambda: decide_form_nonneg(
+            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes))
 
     def feasibility_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        key = (J, strict)
-        v = self._feasible.get(key)
-        if v is None:
-            cfg = self.config
-            certify = strict or len(J) <= cfg.s0_certify_cap
-            v = search_nonneg_solution(
-                self.subtensor(J), strict, cfg.epsilon, cfg.max_depth,
-                max_nodes=cfg.max_nodes, certify_absence=certify,
-            )
-            self._feasible[key] = v
-        return v
+        cfg = self.config
+        return _memo(self._feasible, (J, strict), lambda: search_nonneg_solution(
+            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes,
+            certify_absence=strict or len(J) <= cfg.s0_certify_cap))
 
     # -- class predicates ----------------------------------------------------
 
-    def is_semi_positive(self, strict: bool = False) -> Verdict:
-        """Semi-positive (strictly, if asked): no principal subtensor maps a
-        positive vector to an all-negative (all-nonpositive) image."""
-        engine_strict = not strict
+    def _scan(self, decide, subsets, fail_info) -> Verdict:
+        """Decide ``subsets`` in order up to the first Fails, which carries its
+        witness, embedded in the full index set, and ``fail_info(J, v)``; else
+        Inconclusive, listing the undecided subsets, or Holds, either with the
+        least root bound of the subsets as ``worst_bound``."""
         n = self.tensor.dim
         nodes = depth = 0
         worst = None
         pending = []
-        for J in _nonempty_subsets(n):
-            v = self.component_decision(J, engine_strict)
+        for J in subsets:
+            v = decide(J)
             nodes += v.nodes
             depth = max(depth, v.depth)
             if v.status == FAILS:
-                witness = _embed(v.witness, J, n)
+                witness = None if v.witness is None else _embed(v.witness, J, n)
                 return Verdict(FAILS, witness, v.epsilon, nodes, depth, v.worst_bound,
-                               {"subset": J, **dict(v.info)})
+                               fail_info(J, v))
             if v.worst_bound is not None:
                 worst = v.worst_bound if worst is None else min(worst, v.worst_bound)
             if v.status == INCONCLUSIVE:
@@ -391,6 +374,13 @@ class TensorClassifier:
             return Verdict(INCONCLUSIVE, None, self.config.epsilon, nodes, depth,
                            worst, {"undecided_subsets": pending})
         return Verdict(HOLDS, None, self.config.epsilon, nodes, depth, worst)
+
+    def is_semi_positive(self, strict: bool = False) -> Verdict:
+        """Semi-positive (strictly, if asked): no principal subtensor maps a
+        positive vector to an all-negative (all-nonpositive) image."""
+        return self._scan(lambda J: self.component_decision(J, not strict),
+                          _nonempty_subsets(self.tensor.dim),
+                          lambda J, v: {"subset": J, **dict(v.info)})
 
     def _almost(self, decide, reason: str) -> Verdict:
         """Every proper principal subtensor stays in the class, the full tensor leaves it.
@@ -404,30 +394,20 @@ class TensorClassifier:
             # tensor has no proper principal subtensor, so it is in none of them
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "dim_below_2"})
-        nodes = depth = 0
-        pending = []
-        for J in _nonempty_subsets(n):
-            if J == self._full:
-                continue
-            v = decide(J)
-            nodes += v.nodes
-            depth = max(depth, v.depth)
-            if v.status == FAILS:
-                witness = _embed(v.witness, J, n)
-                return Verdict(FAILS, witness, v.epsilon, nodes, depth, v.worst_bound,
-                               {"reason": "proper_subtensor_leaves_class", "subset": J})
-            if v.status == INCONCLUSIVE:
-                pending.append(J)
+        proper = self._scan(decide, list(_nonempty_subsets(n))[:-1],  # the full set is last
+                            lambda J, v: {"reason": "proper_subtensor_leaves_class",
+                                          "subset": J})
+        if proper.status == FAILS:
+            return proper
         full = decide(self._full)
-        nodes += full.nodes
-        depth = max(depth, full.depth)
+        nodes = proper.nodes + full.nodes
+        depth = max(proper.depth, full.depth)
         if full.status == HOLDS:
             return Verdict(FAILS, None, full.epsilon, nodes, depth, full.worst_bound,
                            {"reason": reason})
-        if pending or full.status == INCONCLUSIVE:
-            info = {"undecided_subsets": pending} if pending else {}
+        if INCONCLUSIVE in (proper.status, full.status):
             return Verdict(INCONCLUSIVE, None, full.epsilon, nodes, depth,
-                           full.worst_bound, info)
+                           full.worst_bound, dict(proper.info))
         return Verdict(HOLDS, full.witness, full.epsilon, nodes, depth,
                        full.worst_bound, dict(full.info))
 
@@ -450,24 +430,16 @@ class TensorClassifier:
         return self.feasibility_decision(self._full, False)
 
     def _completely(self, strict: bool) -> Verdict:
-        n = self.tensor.dim
-        nodes = depth = 0
-        pending = []
-        for J in _nonempty_subsets(n):
-            v = self.feasibility_decision(J, strict)
-            nodes += v.nodes
-            depth = max(depth, v.depth)
-            if v.status == FAILS:
-                return Verdict(FAILS, None, v.epsilon, nodes, depth, v.worst_bound,
-                               {"subset": J, "reason": "subtensor_has_no_solution"})
-            if v.status == INCONCLUSIVE:
-                pending.append(J)
-        if pending:
-            return Verdict(INCONCLUSIVE, None, self.config.epsilon, nodes, depth,
-                           None, {"undecided_subsets": pending})
+        scan = self._scan(lambda J: self.feasibility_decision(J, strict),
+                          _nonempty_subsets(self.tensor.dim),
+                          lambda J, v: {"subset": J, "reason": "subtensor_has_no_solution"})
+        if scan.status == INCONCLUSIVE:
+            return replace(scan, worst_bound=None)
+        if scan.status == FAILS:
+            return scan
         full = self.feasibility_decision(self._full, strict)
-        return Verdict(HOLDS, full.witness, self.config.epsilon, nodes, depth,
-                       full.worst_bound, dict(full.info))
+        return replace(scan, witness=full.witness, worst_bound=full.worst_bound,
+                       info=dict(full.info))
 
     def is_completely_s(self) -> Verdict:
         return self._completely(True)
@@ -551,11 +523,11 @@ CLASS_NAMES = tuple(CLASSES)
 # theorem table
 #
 # A rule takes a TensorClassifier and returns the three-valued truth of one
-# implication between classes on its tensor: Holds when it is satisfied
-# (also when its guard or premise is false), Fails when it is violated (an
-# engine or tolerance bug) and Inconclusive when undecided.  A term is a
-# class name, read through ``TensorClassifier.verdict``, or a function of the
-# classifier returning a status.
+# implication between classes on its tensor: Holds when it is satisfied, also
+# when a guard or premise is false; Fails when it is violated, which flags an
+# engine or tolerance bug; Inconclusive when undecided.  A term is a class
+# name, read through ``TensorClassifier.verdict``, or a function of the
+# classifier returning a status.  A guard is a premise decided exactly.
 
 
 def _status(c: TensorClassifier, term) -> str:
@@ -581,29 +553,20 @@ def _both(combine, a, b):
     return rule
 
 
-def _when(guard, rule):
-    return lambda c: rule(c) if guard(c) else HOLDS
-
-
 def _iff(a, b):
     return _both(operator.eq, a, b)
 
 
-def _symmetric(c):
-    return c.symmetric
-
-
-def _z(c):
-    return c.verdict("Z").holds
-
-
-def _no_nonneg_row(c):
-    return _truth(has_nonneg_row_subtensor(c.tensor) is None)
+def _exact(check):
+    return lambda c: _truth(check(c))
 
 
 def _entry_signs(strict: bool):
-    return lambda c: _truth(entry_conditions(c.tensor).satisfied(strict))
+    return _exact(lambda c: entry_conditions(c.tensor).satisfied(strict))
 
+
+_SYMMETRIC = _exact(lambda c: c.symmetric)
+_NO_NONNEG_ROW = _exact(lambda c: has_nonneg_row_subtensor(c.tensor) is None)
 
 # the theorems ``classify`` cross-checks and the suites test, by name; the
 # order is the order of ``consistency_violations``
@@ -617,19 +580,19 @@ THEOREMS = {
     "completelyS_implies_completelyS0": _implies("completelyS", "completelyS0"),
     "nonneg_implies_E0": _implies("nonneg", "E0"),
     "positive_implies_E": _implies("positive", "E"),
-    "sym_E0_implies_C0": _when(_symmetric, _implies("E0", "C0")),
-    "sym_almostE0_iff_almostC0": _when(_symmetric, _iff("almostE0", "almostC0")),
-    "sym_almostE_iff_almostC": _when(_symmetric, _iff("almostE", "almostC")),
-    "z_E0_iff_M": _when(_z, _iff("E0", "M")),
-    "z_E_iff_strongM": _when(_z, _iff("E", "strongM")),
-    "strongM_implies_M": _when(_z, _implies("strongM", "M")),
-    "dd_nonneg_diag_implies_E0": _when(lambda c: bool(np.all(diag(c.tensor) >= 0.0)),
-                                       _implies("diagDominant", "E0")),
-    "sdd_positive_diag_implies_E": _when(lambda c: bool(np.all(diag(c.tensor) > 0.0)),
-                                         _implies("strictDiagDominant", "E")),
-    "almostE0_row_subtensor_without_negative_entry": _implies("almostE0", _no_nonneg_row),
+    "sym_E0_implies_C0": _implies(_SYMMETRIC, _implies("E0", "C0")),
+    "sym_almostE0_iff_almostC0": _implies(_SYMMETRIC, _iff("almostE0", "almostC0")),
+    "sym_almostE_iff_almostC": _implies(_SYMMETRIC, _iff("almostE", "almostC")),
+    "z_E0_iff_M": _implies("Z", _iff("E0", "M")),
+    "z_E_iff_strongM": _implies("Z", _iff("E", "strongM")),
+    "strongM_implies_M": _implies("Z", _implies("strongM", "M")),
+    "dd_nonneg_diag_implies_E0": _implies(_exact(lambda c: np.all(diag(c.tensor) >= 0.0)),
+                                          _implies("diagDominant", "E0")),
+    "sdd_positive_diag_implies_E": _implies(_exact(lambda c: np.all(diag(c.tensor) > 0.0)),
+                                            _implies("strictDiagDominant", "E")),
+    "almostE0_row_subtensor_without_negative_entry": _implies("almostE0", _NO_NONNEG_ROW),
     "almostE0_entry_conditions_violated": _implies("almostE0", _entry_signs(False)),
-    "almostE_row_subtensor_without_negative_entry": _implies("almostE", _no_nonneg_row),
+    "almostE_row_subtensor_without_negative_entry": _implies("almostE", _NO_NONNEG_ROW),
     "almostE_entry_conditions_violated": _implies("almostE", _entry_signs(True)),
     "almostE_outside_trichotomy": _implies("almostE", _both(operator.or_, "almostE0", "E0")),
 }
