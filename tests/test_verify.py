@@ -13,7 +13,8 @@ from tenclass import (
     run_fixtures,
     run_suite,
 )
-from tenclass.classifiers import Config, TensorClassifier
+from tenclass.classifiers import CLASSES, Config, TensorClassifier, classify
+from tenclass.subdivision import FAILS, INCONCLUSIVE, Verdict
 from tenclass.verify import SUITES, _gen_almost_e0, thread_count
 
 
@@ -114,6 +115,29 @@ class TestSuites:
         assert thread_count() == 6
         monkeypatch.setenv("TENCLASS_THREADS", "junk")
         assert thread_count() == 1
+
+
+class TestTheoremTable:
+    """classify's cross-checks and the suites read the same rules, so a broken
+    class predicate shows up on both."""
+
+    @staticmethod
+    def _inject(monkeypatch, status):
+        monkeypatch.setitem(CLASSES, "E0", lambda c: Verdict(status, None, 0.0, 0, 0, None))
+
+    def test_violation_on_both_surfaces(self, monkeypatch):
+        self._inject(monkeypatch, FAILS)
+        A = generate(GeneratorSpec("diagDominant", 3, 2, seed=1))[0]
+        assert "dd_nonneg_diag_implies_E0" in classify(A).violations
+        report = run_suite("dd_implies_E0", count=2, threads=1)
+        assert [v["detail"] for v in report["violations"]] == ["dd_nonneg_diag_implies_E0"] * 2
+        assert report["inconclusive"] == 0
+
+    def test_undecided_counts_inconclusive(self, monkeypatch):
+        self._inject(monkeypatch, INCONCLUSIVE)
+        report = run_suite("dd_implies_E0", count=2, threads=1)
+        assert report["violations"] == []
+        assert report["inconclusive"] == 2
 
 
 class TestFixtureCorpus:
