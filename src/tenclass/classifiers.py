@@ -459,15 +459,14 @@ class TensorClassifier:
         eps_abs = self.config.epsilon * (max_abs(self.tensor) or 1.0)
         info = {"t": dec.t, "rho_lower": enc.lower, "rho_upper": enc.upper,
                 "rho_converged": enc.converged}
+        # strong M (t > rho) takes the one-sided rule of the E engine: t within
+        # eps_abs above rho fails, as E fails on an image within eps_abs of zero
         if strong:
-            if dec.t > enc.upper + eps_abs:
-                return Verdict(HOLDS, None, self.config.epsilon, 0, 0, None, info)
+            holds, fails = dec.t > enc.upper + eps_abs, dec.t <= enc.lower + eps_abs
         else:
-            if dec.t >= enc.upper - eps_abs:
-                return Verdict(HOLDS, None, self.config.epsilon, 0, 0, None, info)
-        if dec.t < enc.lower - eps_abs:
-            return Verdict(FAILS, None, self.config.epsilon, 0, 0, None, info)
-        return Verdict(INCONCLUSIVE, None, self.config.epsilon, 0, 0, None, info)
+            holds, fails = dec.t >= enc.upper - eps_abs, dec.t < enc.lower - eps_abs
+        status = HOLDS if holds else FAILS if fails else INCONCLUSIVE
+        return Verdict(status, None, self.config.epsilon, 0, 0, None, info)
 
     # -- aggregation ----------------------------------------------------------
 

@@ -95,6 +95,16 @@ class TestMTensor:
         assert is_m_tensor(A, strong=False).holds
         assert not is_m_tensor(A, strong=True).holds
 
+    def test_boundary_one_tolerance_rule(self):
+        # at t = rho, strong M and E fail together, M and E0 hold together
+        n, m = 2, 3
+        A = Tensor(float(n ** (m - 1)) * Tensor.identity(m, n).data - np.ones((n,) * m))
+        report = classify(A)
+        v = report.verdicts
+        assert v["E"].status == FAILS and v["strongM"].status == FAILS
+        assert v["M"].holds and v["E0"].holds
+        assert report.violations == []
+
     def test_below_radius_not_m(self):
         n, m = 2, 3
         rho = float(n ** (m - 1))

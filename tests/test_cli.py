@@ -36,9 +36,10 @@ class TestClassifyCommand:
         doc = json.loads(out.read_text())
         assert doc["verdicts"]["E0"]["status"] == "Holds"
         assert doc["verdicts"]["E"]["status"] == "Fails"
-        # exit reflects the strong-M boundary verdict staying open
-        assert code == 2
-        assert doc["verdicts"]["strongM"]["status"] == "Inconclusive"
+        # t = rho = 0: strong M fails by the same rule as E, so every verdict
+        # is decisive
+        assert code == 0
+        assert doc["verdicts"]["strongM"]["status"] == "Fails"
 
     def test_nan_rejected_without_report(self, tmp_path, capsys):
         f = write_tensor(
