@@ -160,8 +160,10 @@ def z_decompose(A: Tensor) -> ZDecomposition:
 def is_diag_dominant(A: Tensor, strict: bool = False) -> Verdict:
     """``|a[i..i]| >= sum of |off-diagonal row entries|`` for every row (``>`` if strict)."""
     d = np.abs(diag(A))
-    row_abs = np.abs(A.data).reshape(A.dim, -1).sum(axis=1) - np.abs(diag(A))
-    slack = d - row_abs
+    off = np.abs(A.data)
+    # a row sum that includes the diagonal can overflow where the slack is finite
+    off[(np.arange(A.dim),) * A.order] = 0.0
+    slack = d - off.reshape(A.dim, -1).sum(axis=1)
     tol = 1e-12 * max(1.0, max_abs(A))
     bad = np.nonzero(slack < -tol if not strict else slack <= tol)[0]
     if bad.size:

@@ -58,6 +58,14 @@ class TestDiagDominant:
         assert is_diag_dominant(A, strict=False).holds
 
 
+    def test_near_overflow(self):
+        # slack 0 on both rows; a row sum taken with the diagonal overflows
+        A = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 1, 1), -1e308),
+                                   ((1, 0, 0), -1e308), ((1, 1, 1), 1e308)])
+        assert is_diag_dominant(A).holds
+        assert is_diag_dominant(A, strict=True).status == FAILS
+
+
 class TestZDecomposition:
     def test_identity(self):
         dec = z_decompose(Tensor.identity(3, 2))
