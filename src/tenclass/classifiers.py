@@ -353,9 +353,9 @@ class TensorClassifier:
 
     def _scan(self, decide, subsets, fail_info) -> Verdict:
         """Decide ``subsets`` in order up to the first Fails, which carries its
-        witness, embedded in the full index set, and ``fail_info(J, v)``; else
-        Inconclusive, listing the undecided subsets, or Holds, either with the
-        least root bound of the subsets as ``worst_bound``."""
+        witness, embedded in the full index set, and ``fail_info(J, v)``.  Else
+        Inconclusive, listing the undecided subsets, or Holds; ``worst_bound``
+        is then the least root bound of the subsets."""
         n = self.tensor.dim
         nodes = depth = 0
         worst = None

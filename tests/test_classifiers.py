@@ -57,7 +57,6 @@ class TestDiagDominant:
         assert is_diag_dominant(A, strict=True).holds
         assert is_diag_dominant(A, strict=False).holds
 
-
     def test_near_overflow(self):
         # slack 0 on both rows; a row sum taken with the diagonal overflows
         A = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 1, 1), -1e308),
