@@ -611,7 +611,6 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
     heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
     polish_gate = threshold + _POLISH_TRIGGER * scale
-    polished = set()  # byte keys of the start points polished so far
 
     def fails(y):
         return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
@@ -636,14 +635,13 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
         values = candidate_values(points)
         best_idx = int(values.argmin())
         if float(values[best_idx]) < polish_gate:
-            # polishing is deterministic: a start polished before failed before
-            start = points[best_idx].tobytes()
-            if start not in polished:
-                polished.add(start)
-                y = polish(points[best_idx])
-                if witness_ok(y)[0]:
-                    return fails(y)
-            polish_gate = threshold + 0.5 * (polish_gate - threshold)
+            y = polish(points[best_idx])
+            ok, reached = witness_ok(y)
+            if ok:
+                return fails(y)
+            # a failed polish stops at or above ``threshold`` (its points keep
+            # the floor), so later starts must beat the minimum it reached
+            polish_gate = min(threshold + 0.5 * (polish_gate - threshold), reached)
 
         if depth >= max_depth:
             budget.exhausted_depth = True

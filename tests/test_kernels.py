@@ -283,17 +283,40 @@ class TestProjection:
 
 
 # A tensor drawn by ``verify.run_all(3000, count=3)`` (the first pass of the
-# verify_suites benchmark at seed 3).  Before starts were remembered, its
-# strict component search polished 25 times from 12 distinct points and its
-# form search 15 times from 9.
+# verify_suites benchmark at seed 3).  Its strict component search and its
+# form search both hold with a minimum just above the threshold.  A failed
+# polish caps the gate at the value its descent reached, and no later
+# candidate beats that local minimum, so each search polishes once; halving
+# the gate alone polished 25 and 15 times.
 REPEATING_TENSOR = Tensor(np.array([
     [[6.169286665284805, -1.9686933052328046], [-1.9686933052328046, -1.8847008772721094]],
     [[-1.9686933052328044, -1.8847008772721092], [-1.8847008772721092, 5.412875719161666]],
 ]))
 
+# The distinct entries of a symmetric (4, 3) tensor drawn by
+# ``verify.run_all(7, count=20)``, keyed by sorted index.  Its strict component
+# search fails, but only from its second polishing start.
+LATE_WITNESS_ENTRIES = {
+    (0, 0, 0, 0): 0.6005059699547264, (0, 0, 0, 1): -0.29588320138331053,
+    (0, 0, 0, 2): -0.21351951327895807, (0, 0, 1, 1): -0.12745445294999927,
+    (0, 0, 1, 2): 0.1321877575106507, (0, 0, 2, 2): -0.10718627031646859,
+    (0, 1, 1, 1): 0.2669815405586971, (0, 1, 1, 2): -0.03895149481788555,
+    (0, 1, 2, 2): -0.2662055429125311, (0, 2, 2, 2): 0.38419965069760775,
+    (1, 1, 1, 1): 1.3408353282538719, (1, 1, 1, 2): 0.2292192485318425,
+    (1, 1, 2, 2): -0.11198568849462498, (1, 2, 2, 2): -0.05268769074837304,
+    (2, 2, 2, 2): 2.0708861675638888,
+}
+
+
+def _symmetric_tensor(entries, order, dim):
+    data = np.empty((dim,) * order)
+    for idx in np.ndindex(data.shape):
+        data[idx] = entries[tuple(sorted(idx))]
+    return Tensor(data)
+
 
 class TestPolishStarts:
-    """Polishing is deterministic, so a search never polishes the same start twice."""
+    """A start is polished only when it beats the value the last failed polish reached."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -309,9 +332,17 @@ class TestPolishStarts:
     def test_component_search(self, starts):
         v = subdivision.decide_all_components_negative(REPEATING_TENSOR, strict=True)
         assert (v.status, v.nodes) == (subdivision.HOLDS, 59)
-        assert len(starts) == len(set(starts)) == 12
+        assert len(starts) == len(set(starts)) == 1
 
     def test_form_search(self, starts):
         v = subdivision.decide_form_nonneg(REPEATING_TENSOR, strict=False)
         assert (v.status, v.nodes) == (subdivision.HOLDS, 31)
-        assert len(starts) == len(set(starts)) == 9
+        assert len(starts) == len(set(starts)) == 1
+
+    def test_witness_after_a_failed_polish(self, starts):
+        A = _symmetric_tensor(LATE_WITNESS_ENTRIES, 4, 3)
+        v = subdivision.decide_all_components_negative(A, strict=True)
+        # the search returns at its first successful polish, so the first missed
+        assert (v.status, v.nodes) == (subdivision.FAILS, 15)
+        assert len(starts) == len(set(starts)) == 2
+        assert float(np.max(apply(A, v.witness))) < -1e-9 * float(np.max(np.abs(A.data)))
