@@ -84,7 +84,6 @@ class Config:
     seed: int = 0
     max_nodes: int = 200_000
     interior_margin: float = 1e-6
-    s0_certify_cap: int = 4
     rho_tol: float = 1e-12
     rho_max_iter: int = 3000
 
@@ -102,7 +101,8 @@ class Config:
             "seed": int(self.seed),
             "max_nodes": int(self.max_nodes),
             "interior_margin": float(self.interior_margin),
-            "s0_certify_cap": int(self.s0_certify_cap),
+            "rho_tol": float(self.rho_tol),
+            "rho_max_iter": int(self.rho_max_iter),
         }
 
 
@@ -346,8 +346,7 @@ class TensorClassifier:
     def feasibility_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
         cfg = self.config
         return _memo(self._feasible, (J, strict), lambda: search_nonneg_solution(
-            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes,
-            certify_absence=strict or len(J) <= cfg.s0_certify_cap))
+            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes))
 
     # -- class predicates ----------------------------------------------------
 

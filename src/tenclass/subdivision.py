@@ -671,14 +671,13 @@ def search_nonneg_solution(
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
     polish_steps: int = POLISH_STEPS,
-    certify_absence: bool = True,
 ) -> Verdict:
     """Search the simplex for ``y`` with every component of ``apply(A, y)`` above the goal.
 
     ``strict=True`` looks for ``min_k > eps`` (a strictly positive image),
     ``strict=False`` for ``min_k >= -eps``.  Holds carries the solution; Fails
-    certifies that no such point exists within tolerance; an exhausted budget,
-    or ``certify_absence=False`` without a find, is Inconclusive.
+    certifies that no such point exists within tolerance; an exhausted budget
+    is Inconclusive.
 
     Every component of ``apply(A, y)`` clears the goal exactly when every
     component of ``apply(-A, y)`` falls below its negation, so this is the
@@ -702,8 +701,6 @@ def search_nonneg_solution(
                                            nodes=v.nodes, depth=v.depth, worst_bound=worst)
     if v.status == INCONCLUSIVE:
         status, info = INCONCLUSIVE, v.info
-    elif certify_absence:
-        status, info = FAILS, {"reason": "no_solution"}
     else:
-        status, info = INCONCLUSIVE, {"reason": "search_only"}
+        status, info = FAILS, {"reason": "no_solution"}
     return Verdict(status, None, epsilon, v.nodes, v.depth, worst, info)

@@ -267,6 +267,14 @@ class TestFeasibilityClasses:
         assert is_s_tensor(A).status == FAILS
         assert is_s0_tensor(A).status == FAILS
 
+    def test_s0_absence_certified_at_dim5(self):
+        # S0 used to report a finished search Inconclusive from dimension 5 up
+        A = Tensor(np.random.default_rng(8).uniform(-1.0, 1.0, (5,) * 3))
+        c = TensorClassifier(A)
+        for name in ("S", "S0"):
+            v = c.verdict(name)
+            assert (v.status, dict(v.info)) == (FAILS, {"reason": "no_solution"})
+
 
 class TestRowsAndEntries:
     def test_nonneg_row_examples(self, nonneg_row_tensor, almost_e0_tensor):
@@ -335,6 +343,8 @@ class TestClassify:
         assert list(doc["verdicts"]) == list(CLASS_NAMES)
         assert doc["consistency_violations"] == []
         assert doc["config"]["interior_margin"] == 1e-6
+        assert (doc["config"]["rho_tol"], doc["config"]["rho_max_iter"]) == (1e-12, 3000)
+        assert "s0_certify_cap" not in doc["config"]
 
     def test_known_labels(self, almost_e0_tensor):
         report = classify(almost_e0_tensor)

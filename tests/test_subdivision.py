@@ -272,11 +272,6 @@ class TestSearchNonnegSolution:
         v0 = search_nonneg_solution(A, strict=False)
         assert v0.status == FAILS
 
-    def test_search_only_mode_never_certifies(self):
-        A = Tensor(-Tensor.identity(3, 2).data)
-        v = search_nonneg_solution(A, strict=False, certify_absence=False)
-        assert v.status == INCONCLUSIVE
-
     def test_sbar_strict_solution(self, sbar_tensor):
         v = search_nonneg_solution(sbar_tensor, strict=True)
         assert v.status == HOLDS
