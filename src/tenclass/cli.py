@@ -45,10 +45,11 @@ def _cmd_classify(args) -> int:
     try:
         A = load_tensor(args.file)
         report = classify(A, _config(args))
+        # a non-finite bound cannot be serialized; _emit writes nothing then
+        _emit(report.to_json(), args.out)
     except (TensorFormatError, SubsetCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report.to_json(), args.out)
     return 0 if report.all_decisive else 2
 
 

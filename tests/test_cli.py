@@ -67,6 +67,18 @@ class TestClassifyCommand:
             assert doc["verdicts"][name]["status"] == "Fails"
             assert doc["verdicts"][name]["info"] == {"reason": "dim_below_2"}
 
+    def test_unserializable_report_is_an_error(self, tmp_path, capsys):
+        # the root bounds of this finite tensor overflow to +-inf; the depth
+        # cap stops the searches its NaN leaf bounds would run to max_nodes
+        f = write_tensor(tmp_path / "huge.json", {
+            "order": 3, "dim": 2, "format": "coo",
+            "entries": [[[0, 0, 0], 1e308], [[0, 1, 1], -1e308],
+                        [[1, 0, 0], -1e308], [[1, 1, 1], 1e308]]})
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "--max-depth", "4", "classify", f]) == 1
+        assert not out.exists()
+        assert "error: cannot serialize non-finite float" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         f = write_tensor(tmp_path / "bad.json", "{not json")
         assert main(["classify", f]) == 1
