@@ -1,8 +1,8 @@
 """Command-line front end: classify tensors, run spectral routines, verify suites.
 
 Exit codes: 0 for a fully decisive run, 2 when some verdict is Inconclusive
-(or a fixture label mismatches), 1 for parse or validation errors (no report
-is emitted in that case).
+(or a fixture label mismatches), 1 for parse or validation errors or a
+non-finite value in a classify report (no report is emitted in that case).
 """
 
 from __future__ import annotations

@@ -700,7 +700,5 @@ def search_nonneg_solution(
         return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
                                            nodes=v.nodes, depth=v.depth, worst_bound=worst)
     if v.status == INCONCLUSIVE:
-        status, info = INCONCLUSIVE, v.info
-    else:
-        status, info = FAILS, {"reason": "no_solution"}
-    return Verdict(status, None, epsilon, v.nodes, v.depth, worst, info)
+        return Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
+    return Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})

@@ -306,13 +306,8 @@ LATE_WITNESS_ENTRIES = {
     (1, 1, 2, 2): -0.11198568849462498, (1, 2, 2, 2): -0.05268769074837304,
     (2, 2, 2, 2): 2.0708861675638888,
 }
-
-
-def _symmetric_tensor(entries, order, dim):
-    data = np.empty((dim,) * order)
-    for idx in np.ndindex(data.shape):
-        data[idx] = entries[tuple(sorted(idx))]
-    return Tensor(data)
+LATE_WITNESS_TENSOR = Tensor(np.array(
+    [LATE_WITNESS_ENTRIES[tuple(sorted(i))] for i in np.ndindex((3,) * 4)]).reshape((3,) * 4))
 
 
 class TestPolishStarts:
@@ -340,7 +335,7 @@ class TestPolishStarts:
         assert len(starts) == len(set(starts)) == 1
 
     def test_witness_after_a_failed_polish(self, starts):
-        A = _symmetric_tensor(LATE_WITNESS_ENTRIES, 4, 3)
+        A = LATE_WITNESS_TENSOR
         v = subdivision.decide_all_components_negative(A, strict=True)
         # the search returns at its first successful polish, so the first missed
         assert (v.status, v.nodes) == (subdivision.FAILS, 15)
