@@ -33,9 +33,13 @@ from .core import (
     row_subtensor,
 )
 from .subdivision import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    INTERIOR_MARGIN,
     Verdict,
     decide_all_components_negative,
     decide_form_nonneg,
@@ -76,16 +80,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Config:
-    """Shared tolerances and limits; one epsilon knob reported everywhere."""
+    """The settable tolerance and limits; ``to_json`` also echoes the fixed
+    interior margin and spectral-radius settings every verdict is decided under."""
 
-    epsilon: float = 1e-9
-    max_depth: int = 40
+    epsilon: float = DEFAULT_EPSILON
+    max_depth: int = DEFAULT_MAX_DEPTH
     subset_cap: int = 12
-    seed: int = 0
-    max_nodes: int = 200_000
-    interior_margin: float = 1e-6
-    rho_tol: float = 1e-12
-    rho_max_iter: int = 3000
+    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -98,11 +99,10 @@ class Config:
             "epsilon": float(self.epsilon),
             "max_depth": int(self.max_depth),
             "subset_cap": int(self.subset_cap),
-            "seed": int(self.seed),
             "max_nodes": int(self.max_nodes),
-            "interior_margin": float(self.interior_margin),
-            "rho_tol": float(self.rho_tol),
-            "rho_max_iter": int(self.rho_max_iter),
+            "interior_margin": float(INTERIOR_MARGIN),
+            "rho_tol": float(spectral.RHO_TOL),
+            "rho_max_iter": int(spectral.RHO_MAX_ITER),
         }
 
 
@@ -206,16 +206,6 @@ class EntryConditions:
             return self.diag_positive and self.has_nonpositive_drop
         return self.diag_nonneg and self.has_negative_drop
 
-    def to_json(self) -> dict:
-        return {
-            "diagonal": [float(v) for v in self.diagonal],
-            "drops": [float(v) for v in self.drops],
-            "diag_nonneg": self.diag_nonneg,
-            "diag_positive": self.diag_positive,
-            "has_negative_drop": self.has_negative_drop,
-            "has_nonpositive_drop": self.has_nonpositive_drop,
-        }
-
 
 def entry_conditions(A: Tensor) -> EntryConditions:
     """Evaluate the entry-sign conditions (used as a fast rejection filter).
@@ -256,24 +246,15 @@ def stabilizing_diagonal(A: Tensor, x) -> Tensor:
     return Tensor.diagonal(-f / x ** (A.order - 1), A.order)
 
 
-def check_weighted_characterization(A: Tensor, x, trials: int = 32,
-                                    rng=None) -> bool:
-    """Test ``x^T D apply(A, x) < 0`` over sampled nonnegative diagonals.
+def check_weighted_characterization(A: Tensor, x) -> bool:
+    """Test ``x^T D apply(A, x) < 0`` for every nonzero nonnegative diagonal ``D``.
 
-    The coordinate diagonals are always included; they are decisive, because
-    the weighted product with the i-th coordinate diagonal is ``x_i`` times
-    component ``i`` of the image.
+    The coordinate diagonals decide it: the weighted product with the i-th
+    coordinate diagonal is ``x_i`` times component ``i`` of the image, and
+    every other ``D`` is a nonnegative combination of them.
     """
     x = as_vector(x, A.dim)
-    f = apply(A, x)
-    rng = np.random.default_rng(rng if rng is not None else 0)
-    weights = list(np.eye(A.dim))
-    for _ in range(trials):
-        d = rng.random(A.dim)
-        if not d.any():
-            d = np.ones(A.dim)
-        weights.append(d)
-    return all(float(np.sum(x * d * f)) < 0.0 for d in weights)
+    return bool(np.all(x * apply(A, x) < 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +285,8 @@ class TensorClassifier:
     """Caches per-subset engine decisions so the class predicates share work."""
 
     def __init__(self, A: Tensor, config: Config | None = None):
+        if A.order < 2:
+            raise ValueError(f"order {A.order} tensor: the classes need order >= 2")
         self.tensor = A
         self.config = config or Config()
         if A.dim > self.config.subset_cap:
@@ -336,7 +319,7 @@ class TensorClassifier:
         cfg = self.config
         return _memo(self._component, (J, engine_strict), lambda: decide_all_components_negative(
             self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth,
-            max_nodes=cfg.max_nodes, interior_margin=cfg.interior_margin))
+            max_nodes=cfg.max_nodes))
 
     def form_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
         cfg = self.config
@@ -454,9 +437,7 @@ class TensorClassifier:
         except NotZTensorError as exc:
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "not_a_z_tensor", "detail": str(exc)})
-        enc = spectral.spectral_radius_nonneg(
-            dec.B, tol=self.config.rho_tol, max_iter=self.config.rho_max_iter
-        )
+        enc = spectral.spectral_radius_nonneg(dec.B)
         eps_abs = self.config.epsilon * (max_abs(self.tensor) or 1.0)
         info = {"t": dec.t, "rho_lower": enc.lower, "rho_upper": enc.upper,
                 "rho_converged": enc.converged}

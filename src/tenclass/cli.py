@@ -37,7 +37,6 @@ def _config(args) -> Config:
         epsilon=args.epsilon,
         max_depth=args.max_depth,
         subset_cap=args.subset_cap,
-        seed=args.seed,
     )
 
 
@@ -145,13 +144,15 @@ def main(argv=None) -> int:
         prog="tenclass",
         description="Classify structured tensor classes with certificates or witnesses.",
     )
-    parser.add_argument("--epsilon", type=float, default=1e-9,
+    parser.add_argument("--epsilon", type=float, default=Config.epsilon,
                         help="strictness margin on the normalized coefficient scale")
-    parser.add_argument("--max-depth", type=int, default=40, dest="max_depth",
+    parser.add_argument("--max-depth", type=int, default=Config.max_depth, dest="max_depth",
                         help="subdivision depth cap (exceeding it is Inconclusive)")
-    parser.add_argument("--subset-cap", type=int, default=12, dest="subset_cap",
+    parser.add_argument("--subset-cap", type=int, default=Config.subset_cap,
+                        dest="subset_cap",
                         help="largest dimension for exact subset enumeration")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for verify, gen and spectral --eigenpair")
     parser.add_argument("--out", type=str, default=None, help="write the report here")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -24,6 +24,7 @@ from .core import (
     is_symmetric,
     max_abs,
 )
+from .subdivision import INTERIOR_MARGIN
 
 __all__ = [
     "EigenPair",
@@ -81,10 +82,12 @@ class RadiusEnclosure:
 
 
 _ETAS = (0.0, 1e-10, 1e-8)
+RHO_TOL = 1e-12
+RHO_MAX_ITER = 3000
 
 
-def spectral_radius_nonneg(B: Tensor, tol: float = 1e-10,
-                           max_iter: int = 3000) -> RadiusEnclosure:
+def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
+                           max_iter: int = RHO_MAX_ITER) -> RadiusEnclosure:
     """Enclose the spectral radius of an entrywise nonnegative tensor.
 
     Iterates ``x <- normalize(apply(B, x) ** (1/(m-1)))`` from the all-ones
@@ -187,16 +190,15 @@ def find_negative_hpp_eigenpair(
     *,
     nonpositive: bool = False,
     seed: int = 0,
-    max_steps: int = 400,
-    interior_margin: float = 1e-6,
 ) -> EigenPair | None:
     """Search for an H-eigenpair with strictly positive eigenvector and ``lambda < -tol``
     (``lambda <= tol`` when ``nonpositive`` is set).
 
     Projected-gradient multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``
-    with Armijo backtracking, followed by a Newton polish of the stationarity
-    system.  Returning ``None`` means the nonconvex search found nothing; it is
-    never a certificate of nonexistence.
+    with Armijo backtracking (at most 400 steps per start), followed by a Newton
+    polish of the stationarity system; an eigenvector with a coordinate below
+    ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
+    search found nothing; it is never a certificate of nonexistence.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -217,7 +219,7 @@ def find_negative_hpp_eigenpair(
         if x is None:
             continue
         val = form_value(A, x)
-        for _ in range(max_steps):
+        for _ in range(400):
             grad = m * apply(A, x)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-300:
@@ -236,13 +238,13 @@ def find_negative_hpp_eigenpair(
                 step *= 0.5
             if not moved:
                 break
-        if float(np.min(x)) < interior_margin:
+        if float(np.min(x)) < INTERIOR_MARGIN:
             continue
         polished = _newton_polish(A, x, form_value(A, x))
         if polished is None:
             continue
         x, lam = polished
-        if float(np.min(x)) < interior_margin:
+        if float(np.min(x)) < INTERIOR_MARGIN:
             continue
         pair = EigenPair(float(lam), x, 0.0)
         defect = residual(A, pair)

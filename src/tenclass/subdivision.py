@@ -59,6 +59,8 @@ HOLDS = "Holds"
 FAILS = "Fails"
 INCONCLUSIVE = "Inconclusive"
 
+DEFAULT_EPSILON = 1e-9
+DEFAULT_MAX_DEPTH = 40
 DEFAULT_MAX_NODES = 200_000
 INTERIOR_MARGIN = 1e-6
 POLISH_STEPS = 50
@@ -89,28 +91,27 @@ class Verdict:
     info: Mapping = field(default_factory=dict)
 
     @classmethod
-    def fails(cls, witness, recheck: Callable[[np.ndarray], tuple[bool, float]], *,
-              epsilon, nodes, depth, worst_bound, info=None) -> "Verdict":
-        """Build a Fails verdict; ``recheck`` re-evaluates the witness and must pass."""
-        witness = np.asarray(witness, dtype=np.float64)
-        ok, margin = recheck(witness)
+    def _checked(cls, status, kind, point, recheck, *, epsilon, nodes, depth,
+                 worst_bound, info=None) -> "Verdict":
+        """Build a verdict carrying ``point``; ``recheck`` re-evaluates it and must pass."""
+        point = np.asarray(point, dtype=np.float64)
+        ok, margin = recheck(point)
         if not ok:
-            raise WitnessError(f"witness fails re-check with margin {margin}")
+            raise WitnessError(f"{kind} fails re-check with margin {margin}")
         info = dict(info or {})
-        info["witness_margin"] = float(margin)
-        return cls(FAILS, witness, epsilon, nodes, depth, worst_bound, info)
+        info[f"{kind}_margin"] = float(margin)
+        return cls(status, point, epsilon, nodes, depth, worst_bound, info)
 
     @classmethod
-    def holds_with_solution(cls, solution, recheck, *, epsilon, nodes, depth,
-                            worst_bound, info=None) -> "Verdict":
+    def fails(cls, witness, recheck: Callable[[np.ndarray], tuple[bool, float]],
+              **evidence) -> "Verdict":
+        """Build a Fails verdict; ``recheck`` re-evaluates the witness and must pass."""
+        return cls._checked(FAILS, "witness", witness, recheck, **evidence)
+
+    @classmethod
+    def holds_with_solution(cls, solution, recheck, **evidence) -> "Verdict":
         """Holds verdict that carries a feasible point (used by the S/S0 searches)."""
-        solution = np.asarray(solution, dtype=np.float64)
-        ok, margin = recheck(solution)
-        if not ok:
-            raise WitnessError(f"solution fails re-check with margin {margin}")
-        info = dict(info or {})
-        info["solution_margin"] = float(margin)
-        return cls(HOLDS, solution, epsilon, nodes, depth, worst_bound, info)
+        return cls._checked(HOLDS, "solution", solution, recheck, **evidence)
 
     @property
     def decisive(self) -> bool:
@@ -119,10 +120,6 @@ class Verdict:
     @property
     def holds(self) -> bool:
         return self.status == HOLDS
-
-    @property
-    def fails_(self) -> bool:
-        return self.status == FAILS
 
     def to_json(self) -> dict:
         doc = {
@@ -477,27 +474,6 @@ def _equalize(A: Tensor, y0, floor, active_width: float, iters: int = 15):
 # searches
 
 
-@dataclass
-class _Budget:
-    max_depth: int
-    max_nodes: int
-    nodes: int = 1
-    deepest: int = 0
-    exhausted_depth: bool = False
-    exhausted_nodes: bool = False
-
-    @property
-    def exhausted(self) -> bool:
-        return self.exhausted_depth or self.exhausted_nodes
-
-    def limit_note(self) -> dict:
-        if self.exhausted_nodes:
-            return {"limit": "max_nodes"}
-        if self.exhausted_depth:
-            return {"limit": "max_depth"}
-        return {}
-
-
 def _check_params(epsilon: float, max_depth: int) -> None:
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -508,12 +484,11 @@ def _check_params(epsilon: float, max_depth: int) -> None:
 def decide_all_components_negative(
     A: Tensor,
     strict: bool,
-    epsilon: float = 1e-9,
-    max_depth: int = 40,
+    epsilon: float = DEFAULT_EPSILON,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
     interior_margin: float = INTERIOR_MARGIN,
-    polish_steps: int = POLISH_STEPS,
 ) -> Verdict:
     """Decide whether some ``y > 0`` drives every component of ``apply(A, y)`` negative.
 
@@ -542,7 +517,7 @@ def decide_all_components_negative(
         return apply_jacobian(A, y)[int(f.argmax())]
 
     def polish(y):
-        y, g = _polish_descent(y, floor, polish_steps, value_fn, grad_fn)
+        y, g = _polish_descent(y, floor, POLISH_STEPS, value_fn, grad_fn)
         if not strict and g > eps_abs:
             y2, g2 = _equalize(A, y, floor, active_width=0.25 * scale)
             if g2 < g:
@@ -561,11 +536,10 @@ def decide_all_components_negative(
 def decide_form_nonneg(
     A: Tensor,
     strict: bool,
-    epsilon: float = 1e-9,
-    max_depth: int = 40,
+    epsilon: float = DEFAULT_EPSILON,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
-    polish_steps: int = POLISH_STEPS,
 ) -> Verdict:
     """Decide whether ``A x^m >= 0`` on the nonnegative orthant (``> 0`` off zero if strict).
 
@@ -584,7 +558,7 @@ def decide_form_nonneg(
         return (v <= threshold if strict else v < threshold), v
 
     def polish(y):
-        return _polish_descent(y, 0.0, polish_steps, lambda v: (form_value(A, v), None),
+        return _polish_descent(y, 0.0, POLISH_STEPS, lambda v: (form_value(A, v), None),
                                lambda v, _: m * apply(sym, v))[0]
 
     return _min_search(
@@ -606,29 +580,29 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
     ``(bound, seq, depth, vertices, coeffs)``; every verdict reports the root
     bound as ``worst_bound``.
     """
-    budget = _Budget(max_depth, max_nodes)
+    nodes, deepest, limit = 1, 0, None
     worst = leaf_bound(root_coeffs)
     heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
     polish_gate = threshold + _POLISH_TRIGGER * scale
 
     def fails(y):
-        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=budget.nodes,
-                             depth=budget.deepest, worst_bound=worst)
+        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=nodes,
+                             depth=deepest, worst_bound=worst)
 
     while heap:
         lb, _, depth, V, coeffs = heapq.heappop(heap)
         if lb > threshold:
-            if budget.exhausted:
-                return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes,
-                               budget.deepest, worst, budget.limit_note())
-            return Verdict(HOLDS, None, epsilon, budget.nodes, budget.deepest, worst)
+            if limit is not None:
+                return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst,
+                               {"limit": limit})
+            return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
         if len(V) == 1:
             # a one-vertex simplex is a point whose bound is its value: the
             # vertex is the witness, or the value sits on the tolerance edge
             if witness_ok(V[0])[0]:
                 return fails(V[0])
-            return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
+            return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest,
                            worst, {"limit": "tolerance_gap"})
 
         points = _candidate_points(V)
@@ -644,33 +618,33 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
             polish_gate = min(threshold + 0.5 * (polish_gate - threshold), reached)
 
         if depth >= max_depth:
-            budget.exhausted_depth = True
+            limit = "max_depth"
             continue
-        if budget.nodes + 2 > max_nodes:
-            budget.exhausted_nodes = True
+        if nodes + 2 > max_nodes:
+            # the node budget ends the search, so it names the limit
+            limit = "max_nodes"
             break
 
         a, b = _longest_edge(V)
-        budget.nodes += 2
-        budget.deepest = max(budget.deepest, depth + 1)
+        nodes += 2
+        deepest = max(deepest, depth + 1)
         first, second = _bisect(V, a, b)
         for child, cc in ((first, _replace_vertex(coeffs, coeff_axes, b, a)),
                           (second, _replace_vertex(coeffs, coeff_axes, a, b))):
             heapq.heappush(heap, (leaf_bound(cc), seq, depth + 1, child, cc))
             seq += 1
 
-    return Verdict(INCONCLUSIVE, None, epsilon, budget.nodes, budget.deepest,
-                   worst, budget.limit_note())
+    # the heap empties only after every leaf met the depth cap
+    return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
 
 
 def search_nonneg_solution(
     A: Tensor,
     strict: bool,
-    epsilon: float = 1e-9,
-    max_depth: int = 40,
+    epsilon: float = DEFAULT_EPSILON,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
-    polish_steps: int = POLISH_STEPS,
 ) -> Verdict:
     """Search the simplex for ``y`` with every component of ``apply(A, y)`` above the goal.
 
@@ -686,7 +660,7 @@ def search_nonneg_solution(
     """
     v = decide_all_components_negative(
         Tensor(-A.data), strict, epsilon, max_depth, max_nodes=max_nodes,
-        interior_margin=0.0, polish_steps=polish_steps,
+        interior_margin=0.0,
     )
     eps_abs = epsilon * (max_abs(A) or 1.0)
     goal = eps_abs if strict else -eps_abs

@@ -43,8 +43,10 @@ def parse_tensor(obj) -> Tensor:
         dim = int(obj["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TensorFormatError("missing or malformed 'order'/'dim'") from exc
-    if order < 1 or dim < 1:
-        raise TensorFormatError("'order' and 'dim' must be positive integers")
+    if order < 2:
+        raise TensorFormatError("'order' must be at least 2")
+    if dim < 1:
+        raise TensorFormatError("'dim' must be a positive integer")
     fmt = obj.get("format", "coo")
     entries = obj.get("entries", [])
     if fmt == "coo":
@@ -106,7 +108,6 @@ def _format_float(value: float) -> str:
 def _write(obj, out, indent, level) -> None:
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     end = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -128,7 +129,7 @@ def _write(obj, out, indent, level) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"object keys must be strings, got {key!r}")
             if k:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             out.append(json.dumps(key))
             out.append(": " if indent is not None else ":")
@@ -142,7 +143,7 @@ def _write(obj, out, indent, level) -> None:
         out.append("[")
         for k, value in enumerate(items):
             if k:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             _write(value, out, indent, level + 1)
         out.append(end + "]")

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tenclass import (
     FAILS,
@@ -334,6 +338,22 @@ class TestWeightedCharacterization:
     def test_zero_image_fails(self, balanced_tensor):
         assert not check_weighted_characterization(balanced_tensor, [1.0, 1.0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_nonneg_diagonal_agrees(self, data):
+        # entries on a quarter grid, x and the nonzero weights bounded away
+        # from zero: no product x_i d_i f_i underflows to zero
+        n = data.draw(st.integers(2, 3))
+        entries = data.draw(st.lists(st.integers(-4, 4), min_size=n ** 3, max_size=n ** 3))
+        shift = data.draw(st.integers(0, 4))
+        A = Tensor(np.reshape(entries, (n,) * 3) / 4.0 - shift * Tensor.identity(3, n).data)
+        x = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        assume(check_weighted_characterization(A, x))
+        d = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                        min_size=n, max_size=n)))
+        assume(d.any())
+        assert np.sum(x * d * apply(A, x)) < 0.0
+
 
 class TestClassify:
     def test_report_covers_all_classes(self, almost_e0_tensor):
@@ -342,9 +362,16 @@ class TestClassify:
         doc = report.to_json()
         assert list(doc["verdicts"]) == list(CLASS_NAMES)
         assert doc["consistency_violations"] == []
+        assert [f.name for f in fields(Config)] == [
+            "epsilon", "max_depth", "subset_cap", "max_nodes"]
         assert doc["config"]["interior_margin"] == 1e-6
         assert (doc["config"]["rho_tol"], doc["config"]["rho_max_iter"]) == (1e-12, 3000)
         assert "s0_certify_cap" not in doc["config"]
+        assert "seed" not in doc["config"]
+
+    def test_order1_rejected(self):
+        with pytest.raises(ValueError, match="order >= 2"):
+            classify(Tensor(np.array([1.0, -2.0])))
 
     def test_known_labels(self, almost_e0_tensor):
         report = classify(almost_e0_tensor)

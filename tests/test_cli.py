@@ -79,6 +79,16 @@ class TestClassifyCommand:
         assert not out.exists()
         assert "error: cannot serialize non-finite float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["classify"], ["spectral", "--radius"]])
+    def test_order1_rejected(self, tmp_path, capsys, command):
+        f = write_tensor(tmp_path / "vector.json",
+                         {"order": 1, "dim": 2, "format": "coo",
+                          "entries": [[[0], 1.0], [[1], -2.0]]})
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), command[0], f, *command[1:]]) == 1
+        assert not out.exists()
+        assert "'order' must be at least 2" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         f = write_tensor(tmp_path / "bad.json", "{not json")
         assert main(["classify", f]) == 1

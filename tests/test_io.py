@@ -46,6 +46,12 @@ def test_parse_rejects_unknown_format():
         parse_tensor({"order": 2, "dim": 2, "format": "csr", "entries": []})
 
 
+def test_parse_rejects_order_1():
+    with pytest.raises(TensorFormatError, match="'order' must be at least 2"):
+        parse_tensor({"order": 1, "dim": 2, "format": "coo",
+                      "entries": [[[0], 1.0], [[1], -2.0]]})
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(TensorFormatError):
         parse_tensor({"dim": 2})
