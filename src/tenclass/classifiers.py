@@ -25,12 +25,13 @@ from .core import (
     apply,
     as_vector,
     diag,
+    falls_short,
     is_nonneg,
     is_positive,
     is_symmetric,
-    max_abs,
     principal_subtensor,
     row_subtensor,
+    tolerance,
 )
 from .subdivision import (
     DEFAULT_EPSILON,
@@ -164,8 +165,7 @@ def is_diag_dominant(A: Tensor, strict: bool = False) -> Verdict:
     # a row sum that includes the diagonal can overflow where the slack is finite
     off[(np.arange(A.dim),) * A.order] = 0.0
     slack = d - off.reshape(A.dim, -1).sum(axis=1)
-    tol = 1e-12 * max(1.0, max_abs(A))
-    bad = np.nonzero(slack < -tol if not strict else slack <= tol)[0]
+    bad = np.nonzero(falls_short(slack, tolerance(A, 1e-12), strict))[0]
     if bad.size:
         row = int(bad[0])
         return Verdict(FAILS, None, 0.0, 0, 0, float(slack[row]), {"row": row})
@@ -185,26 +185,10 @@ class EntryConditions:
     diagonal: tuple
     drops: tuple
 
-    @property
-    def diag_nonneg(self) -> bool:
-        return all(v >= 0.0 for v in self.diagonal)
-
-    @property
-    def diag_positive(self) -> bool:
-        return all(v > 0.0 for v in self.diagonal)
-
-    @property
-    def has_negative_drop(self) -> bool:
-        return any(v < 0.0 for v in self.drops)
-
-    @property
-    def has_nonpositive_drop(self) -> bool:
-        return any(v <= 0.0 for v in self.drops)
-
     def satisfied(self, strict: bool) -> bool:
-        if strict:
-            return self.diag_positive and self.has_nonpositive_drop
-        return self.diag_nonneg and self.has_negative_drop
+        """The sign rule of the pair, exact: no diagonal entry and some drop fall short."""
+        return (not any(falls_short(v, 0.0, strict) for v in self.diagonal)
+                and any(falls_short(v, 0.0, strict) for v in self.drops))
 
 
 def entry_conditions(A: Tensor) -> EntryConditions:
@@ -438,15 +422,13 @@ class TensorClassifier:
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "not_a_z_tensor", "detail": str(exc)})
         enc = spectral.spectral_radius_nonneg(dec.B)
-        eps_abs = self.config.epsilon * (max_abs(self.tensor) or 1.0)
+        tol = tolerance(self.tensor, self.config.epsilon)
         info = {"t": dec.t, "rho_lower": enc.lower, "rho_upper": enc.upper,
                 "rho_converged": enc.converged}
-        # strong M (t > rho) takes the one-sided rule of the E engine: t within
-        # eps_abs above rho fails, as E fails on an image within eps_abs of zero
-        if strong:
-            holds, fails = dec.t > enc.upper + eps_abs, dec.t <= enc.lower + eps_abs
-        else:
-            holds, fails = dec.t >= enc.upper - eps_abs, dec.t < enc.lower - eps_abs
+        # M asks t - rho >= 0, strong M t - rho > 0, with t - rho somewhere in
+        # [t - upper, t - lower]; strong M fails within tol, as E does
+        holds = not falls_short(dec.t - enc.upper, tol, strong)
+        fails = falls_short(dec.t - enc.lower, tol, strong)
         status = HOLDS if holds else FAILS if fails else INCONCLUSIVE
         return Verdict(status, None, self.config.epsilon, 0, 0, None, info)
 

@@ -35,6 +35,8 @@ __all__ = [
     "is_nonneg",
     "is_positive",
     "max_abs",
+    "tolerance",
+    "falls_short",
 ]
 
 
@@ -368,10 +370,10 @@ def symmetrize(A: Tensor) -> Tensor:
     return Tensor((sums / counts)[inverse].reshape(A.data.shape))
 
 
-def is_symmetric(A: Tensor, rtol: float = 1e-12) -> bool:
+def is_symmetric(A: Tensor) -> bool:
     """True when the entries are invariant under every index permutation."""
     gap = float(np.max(np.abs(A.data - symmetrize(A).data)))
-    return gap <= rtol * max(1.0, max_abs(A))
+    return gap <= tolerance(A, 1e-12)
 
 
 def is_nonneg(A: Tensor) -> bool:
@@ -384,6 +386,18 @@ def is_positive(A: Tensor) -> bool:
 
 def max_abs(A: Tensor) -> float:
     return float(np.max(np.abs(A.data)))
+
+
+def tolerance(A: Tensor, rel: float) -> float:
+    """The slack of every decision and stopping test: ``rel`` times the largest
+    absolute entry (1 for the zero tensor), so units never move a status."""
+    return rel * (max_abs(A) or 1.0)
+
+
+def falls_short(q, tol: float, strict: bool):
+    """The one rule of every class pair, elementwise: ``q >= 0`` fails at
+    ``q < -tol``, its strict partner ``q > 0`` at ``q <= tol``."""
+    return q <= tol if strict else q < -tol
 
 
 def _same_shape(A: Tensor, B: Tensor) -> None:

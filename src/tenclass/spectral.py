@@ -20,9 +20,10 @@ from .core import (
     apply,
     apply_jacobian,
     as_vector,
+    falls_short,
     form_value,
     is_symmetric,
-    max_abs,
+    tolerance,
 )
 from .subdivision import INTERIOR_MARGIN
 
@@ -95,10 +96,13 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
     current positive iterate, so they are valid at every step; reducible
     tensors, whose plain iteration can leave the open cone, are steered by
     re-running on ``B`` inflated with a small multiple of the all-ones tensor
-    (the enclosure still brackets the radius of ``B`` itself).
+    (the enclosure still brackets the radius of ``B`` itself).  ``tol`` is
+    the enclosure width relative to its upper end.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if B.order < 2:
+        raise ValueError(f"order {B.order} tensor: the spectral radius needs order >= 2")
     data = B.data
     if np.any(data < 0):
         idx = np.argwhere(data < 0)[0]
@@ -125,14 +129,14 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
             lower = max(lower, float(q.min()))
             upper = min(upper, float(q.max()))
             iters += 1
-            if upper - lower <= tol * max(1.0, upper):
+            if upper - lower <= tol * upper:
                 return RadiusEnclosure(lower, upper, iters)
             # reducible inputs pin one side of the quotient sandwich; give up
             # on the stage once the enclosure stops moving
-            stalled = stalled + 1 if gain <= 1e-3 * tol * max(1.0, upper) else 0
+            stalled = stalled + 1 if gain <= 1e-3 * tol * upper else 0
             if stalled >= 50:
                 break
-            u_eta = u + eta * (x.sum() ** power)
+            u_eta = u + tolerance(B, eta) * (x.sum() ** power)
             if np.any(u_eta <= 0.0):
                 break  # left the open cone; retry with a larger inflation
             y = u_eta ** (1.0 / power)
@@ -160,18 +164,19 @@ def _project_cone_sphere(x: np.ndarray, m: int) -> np.ndarray | None:
 
 
 def _newton_polish(A: Tensor, x: np.ndarray, lam: float, iters: int = 12):
-    """Newton steps on the eigenpair system with the m-norm constraint."""
+    """Newton steps on the eigenpair system; the m-norm row carries the tensor scale."""
     n = A.dim
     m = A.order
+    scale = tolerance(A, 1.0)
     for _ in range(iters):
         xm1 = x ** (m - 1)
-        res = np.concatenate([apply(A, x) - lam * xm1, [np.sum(x ** m) - 1.0]])
-        if np.max(np.abs(res)) < 1e-15 * max(1.0, abs(lam)):
+        res = np.concatenate([apply(A, x) - lam * xm1, [scale * (np.sum(x ** m) - 1.0)]])
+        if np.max(np.abs(res)) < 1e-15 * scale:
             break
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = apply_jacobian(A, x) - lam * (m - 1) * np.diag(x ** (m - 2))
         J[:n, n] = -xm1
-        J[n, :n] = m * xm1
+        J[n, :n] = scale * m * xm1
         try:
             delta = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
@@ -192,7 +197,8 @@ def find_negative_hpp_eigenpair(
     seed: int = 0,
 ) -> EigenPair | None:
     """Search for an H-eigenpair with strictly positive eigenvector and ``lambda < -tol``
-    (``lambda <= tol`` when ``nonpositive`` is set).
+    (``lambda <= tol`` when ``nonpositive`` is set); ``tol`` is absolute for
+    ``lambda`` and relative to the largest absolute entry for the residual.
 
     Projected-gradient multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``
     with Armijo backtracking (at most 400 steps per start), followed by a Newton
@@ -207,7 +213,6 @@ def find_negative_hpp_eigenpair(
     n = A.dim
     m = A.order
     rng = np.random.default_rng(seed)
-    scale = max_abs(A) or 1.0
 
     starts = [np.full(n, 1.0)]
     for _ in range(restarts):
@@ -248,9 +253,9 @@ def find_negative_hpp_eigenpair(
             continue
         pair = EigenPair(float(lam), x, 0.0)
         defect = residual(A, pair)
-        if defect > tol * max(1.0, scale):
+        if defect > tolerance(A, tol):
             continue
-        if lam < -tol or (nonpositive and lam <= tol):
+        if falls_short(lam, tol, nonpositive):
             found.append(EigenPair(float(lam), x, defect))
 
     if not found:

@@ -33,10 +33,11 @@ from .core import (
     apply_batch,
     apply_jacobian,
     as_vector,
+    falls_short,
     form_batch,
     form_value,
-    max_abs,
     symmetrize,
+    tolerance,
 )
 
 __all__ = [
@@ -79,7 +80,9 @@ class Verdict:
     """Three-valued certified decision with its numeric evidence.
 
     On an engine verdict ``worst_bound`` is the coefficient bound of the root
-    simplex (the whole standard simplex), whatever the status.
+    simplex (the whole standard simplex), whatever the status, and an
+    Inconclusive carries ``info["limit"]``, the budget that ran out:
+    ``max_depth`` or ``max_nodes``.
     """
 
     status: str
@@ -401,17 +404,18 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.array([max(x - theta, 0.0) + floor for x in z])
 
 
-def _polish_descent(y0, floor, steps, value_fn, grad_fn):
+def _polish_descent(y0, floor, value_fn, grad_fn, min_decrease):
     """Projected local descent with backtracking (factor 0.5) on a value.
 
     ``value_fn(y)`` returns ``(value, aux)`` and ``grad_fn(y, aux)`` the
-    gradient at ``y``, so a contraction ``value_fn`` made is not repeated.
+    gradient at ``y``, so a contraction ``value_fn`` made is not repeated.  A
+    step counts when it lowers the value by more than ``min_decrease``.
     Returns the final point and its value.
     """
     y = _project_simplex(y0, floor)
     val, aux = value_fn(y)
     step = 0.5
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         grad = grad_fn(y, aux)
         norm = math.sqrt(grad.dot(grad))  # what np.linalg.norm computes on a real vector
         if norm < 1e-300:
@@ -422,7 +426,7 @@ def _polish_descent(y0, floor, steps, value_fn, grad_fn):
         for _ in range(25):
             y_new = _project_simplex(y - trial * direction, floor)
             val_new, aux_new = value_fn(y_new)
-            if val_new < val - 1e-13 * max(1.0, abs(val)):
+            if val_new < val - min_decrease:
                 y, val, aux = y_new, val_new, aux_new
                 step = min(2.0 * trial, 0.5)
                 improved = True
@@ -433,15 +437,17 @@ def _polish_descent(y0, floor, steps, value_fn, grad_fn):
     return y, val
 
 
-def _equalize(A: Tensor, y0, floor, active_width: float, iters: int = 15):
+def _equalize(A: Tensor, y0, floor, iters: int = 15):
     """Gauss-Newton steps driving the near-active components of ``apply`` to zero.
 
     Witness sets can be lower-dimensional (every active component vanishes at
     the witness), where subdivision and subgradient steps close in only
     linearly; these steps converge at Newton speed.  The active components are
-    those above ``-active_width``; a step is kept when it lowers the largest
-    component.  Returns the best point and its largest component.
+    those within a quarter of the tensor scale below zero; a step is kept when
+    it lowers the largest component.  Returns the best point and its largest
+    component.
     """
+    active_width, min_decrease = tolerance(A, 0.25), tolerance(A, 1e-16)
     y = _project_simplex(y0, floor)
     basis = _sum_zero_basis(y.size)
     f = apply(A, y)
@@ -459,7 +465,7 @@ def _equalize(A: Tensor, y0, floor, active_width: float, iters: int = 15):
             y_new = _project_simplex(y + damp * dy, floor)
             f_new = apply(A, y_new)
             s_new = float(f_new.max())
-            if s_new < best - 1e-16:
+            if s_new < best - min_decrease:
                 y, f = y_new, f_new
                 best_y, best = y_new, s_new
                 stepped = True
@@ -495,19 +501,13 @@ def decide_all_components_negative(
     ``strict=True`` asks for all components ``< 0``, ``strict=False`` for
     ``<= 0``.  Fails means such a ``y`` exists and carries it (interior, with
     margin ``interior_margin``); Holds certifies that none exists; an exhausted
-    budget is Inconclusive.
+    budget is Inconclusive.  Holds is the claim ``max_k >= 0`` on the simplex
+    (``> 0`` when not ``strict``), so the class strictness is ``not strict``.
     """
     _check_params(epsilon, max_depth)
     n = A.dim
-    scale = max_abs(A) or 1.0
-    eps_abs = epsilon * scale
     floor = interior_margin
-    threshold = -eps_abs if strict else eps_abs
-
-    def witness_ok(y):
-        g = float(np.max(apply(A, y)))
-        below = g < threshold if strict else g <= threshold
-        return (below and float(np.min(y)) >= floor * 0.999), g
+    tol = tolerance(A, epsilon)
 
     def value_fn(y):
         f = apply(A, y)
@@ -517,9 +517,10 @@ def decide_all_components_negative(
         return apply_jacobian(A, y)[int(f.argmax())]
 
     def polish(y):
-        y, g = _polish_descent(y, floor, POLISH_STEPS, value_fn, grad_fn)
-        if not strict and g > eps_abs:
-            y2, g2 = _equalize(A, y, floor, active_width=0.25 * scale)
+        y, g = _polish_descent(y, floor, value_fn, grad_fn, tolerance(A, 1e-13))
+        # the descent missed a witness of the strict class
+        if not strict and not falls_short(g, tol, True):
+            y2, g2 = _equalize(A, y, floor)
             if g2 < g:
                 y = y2
         return y
@@ -528,8 +529,9 @@ def decide_all_components_negative(
         A, _slot_symmetrized_rows(A), tuple(range(1, A.order)),
         lambda coeffs: float(coeffs.reshape(n, -1).min(axis=1).max()),
         lambda points: apply_batch(A, points).max(axis=1),
-        threshold=threshold, witness_ok=witness_ok, polish=polish, epsilon=epsilon,
-        max_depth=max_depth, max_nodes=max_nodes, scale=scale,
+        lambda y: value_fn(y)[0],
+        strict=not strict, tol=tol, floor=floor, polish=polish, epsilon=epsilon,
+        max_depth=max_depth, max_nodes=max_nodes,
     )
 
 
@@ -547,44 +549,42 @@ def decide_form_nonneg(
     carries a simplex witness with ``A x^m < -eps`` (strict: ``<= eps``).
     """
     _check_params(epsilon, max_depth)
-    scale = max_abs(A) or 1.0
-    eps_abs = epsilon * scale
-    threshold = eps_abs if strict else -eps_abs
     sym = symmetrize(A)
     m = A.order
 
-    def witness_ok(y):
-        v = form_value(A, y)
-        return (v <= threshold if strict else v < threshold), v
-
     def polish(y):
-        return _polish_descent(y, 0.0, POLISH_STEPS, lambda v: (form_value(A, v), None),
-                               lambda v, _: m * apply(sym, v))[0]
+        return _polish_descent(y, 0.0, lambda v: (form_value(A, v), None),
+                               lambda v, _: m * apply(sym, v), tolerance(A, 1e-13))[0]
 
     return _min_search(
         A, sym.data, tuple(range(m)), lambda coeffs: float(coeffs.min()),
-        lambda points: form_batch(A, points),
-        threshold=threshold, witness_ok=witness_ok, polish=polish, epsilon=epsilon,
-        max_depth=max_depth, max_nodes=max_nodes, scale=scale,
+        lambda points: form_batch(A, points), lambda y: form_value(A, y),
+        strict=strict, tol=tolerance(A, epsilon), floor=0.0, polish=polish,
+        epsilon=epsilon, max_depth=max_depth, max_nodes=max_nodes,
     )
 
 
-def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
-                threshold, witness_ok, polish, epsilon, max_depth, max_nodes,
-                scale) -> Verdict:
-    """Best-first hunt for a point below ``threshold``.
+def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_value, *,
+                strict, tol, floor, polish, epsilon, max_depth, max_nodes) -> Verdict:
+    """Best-first hunt for a point whose ``point_value`` falls short of the class.
 
-    Holds when the worst remaining leaf bound clears ``threshold``; the
-    queue pops the most negative bound first, so the first certified pop
-    certifies everything still queued.  Heap entries are
-    ``(bound, seq, depth, vertices, coeffs)``; every verdict reports the root
-    bound as ``worst_bound``.
+    The class asks ``point_value >= 0`` (``> 0`` if ``strict``).  A point that
+    falls short, with no coordinate below the ``floor``, is a witness; a leaf
+    whose lower bound does not fall short is certified.  The queue pops the
+    least bound first, so the first certified pop certifies everything still
+    queued.  Heap entries are ``(bound, seq, depth, vertices, coeffs)``; every
+    verdict reports the root bound as ``worst_bound``.
     """
     nodes, deepest, limit = 1, 0, None
     worst = leaf_bound(root_coeffs)
     heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
-    polish_gate = threshold + _POLISH_TRIGGER * scale
+    edge = tol if strict else -tol  # where the rule flips
+    polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
+
+    def witness_ok(y):
+        q = point_value(y)
+        return falls_short(q, tol, strict) and float(np.min(y)) >= floor * 0.999, q
 
     def fails(y):
         return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=nodes,
@@ -592,18 +592,13 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
 
     while heap:
         lb, _, depth, V, coeffs = heapq.heappop(heap)
-        if lb > threshold:
-            if limit is not None:
-                return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst,
-                               {"limit": limit})
-            return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
+        if not falls_short(lb, tol, strict):
+            if limit is None:
+                return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
+            break
         if len(V) == 1:
-            # a one-vertex simplex is a point whose bound is its value: the
-            # vertex is the witness, or the value sits on the tolerance edge
-            if witness_ok(V[0])[0]:
-                return fails(V[0])
-            return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest,
-                           worst, {"limit": "tolerance_gap"})
+            # a one-vertex simplex is a point whose bound is its value
+            return fails(V[0])
 
         points = _candidate_points(V)
         values = candidate_values(points)
@@ -613,9 +608,9 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
             ok, reached = witness_ok(y)
             if ok:
                 return fails(y)
-            # a failed polish stops at or above ``threshold`` (its points keep
-            # the floor), so later starts must beat the minimum it reached
-            polish_gate = min(threshold + 0.5 * (polish_gate - threshold), reached)
+            # a failed polish stops at or above the edge (its points keep the
+            # floor), so later starts must beat the minimum it reached
+            polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
 
         if depth >= max_depth:
             limit = "max_depth"
@@ -634,7 +629,7 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, *,
             heapq.heappush(heap, (leaf_bound(cc), seq, depth + 1, child, cc))
             seq += 1
 
-    # the heap empties only after every leaf met the depth cap
+    # every leaf left uncertified met the depth cap, or the node budget ran out
     return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
 
 
@@ -662,13 +657,12 @@ def search_nonneg_solution(
         Tensor(-A.data), strict, epsilon, max_depth, max_nodes=max_nodes,
         interior_margin=0.0,
     )
-    eps_abs = epsilon * (max_abs(A) or 1.0)
-    goal = eps_abs if strict else -eps_abs
+    tol = tolerance(A, epsilon)
     worst = 0.0 - v.worst_bound  # the root bound of A; a plain minus would give -0.0
 
     def solution_ok(y):
         value = float(np.min(apply(A, y)))
-        return (value > goal) if strict else (value >= goal), value
+        return not falls_short(value, tol, strict), value
 
     if v.status == FAILS:
         return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,

@@ -37,6 +37,7 @@ from tenclass.classifiers import (
     SubsetCapError,
     TensorClassifier,
 )
+from tenclass.tensor_io import canonical_dumps
 from _oracles import grid_is_semipositive, naive_apply
 
 
@@ -60,6 +61,11 @@ class TestDiagDominant:
             ((1, 1, 1), 3.0), ((1, 0, 1), -1.0), ((1, 1, 0), 1.0)])
         assert is_diag_dominant(A, strict=True).holds
         assert is_diag_dominant(A, strict=False).holds
+
+    def test_failure_survives_tiny_units(self):
+        # the slack -0.5 * 2^-43 lies inside an absolute 1e-12 floor
+        A = Tensor(np.array([[1.0, -1.5], [0.0, 2.0]]) * 2.0 ** -43)
+        assert is_diag_dominant(A).status == FAILS
 
     def test_near_overflow(self):
         # slack 0 on both rows; a row sum taken with the diagonal overflows
@@ -303,8 +309,9 @@ class TestRowsAndEntries:
 
     def test_entry_conditions_identity(self):
         ec = entry_conditions(Tensor.identity(3, 2))
-        assert not ec.has_negative_drop and not ec.has_nonpositive_drop
+        assert ec.drops == (1.0, 1.0)  # no drop is negative, or even zero
         assert not ec.satisfied(strict=False)
+        assert not ec.satisfied(strict=True)
 
 
 class TestStabilizingDiagonal:
@@ -401,3 +408,35 @@ class TestClassify:
     def test_all_decisive_flag(self, almost_c_tensor):
         report = classify(almost_c_tensor)
         assert report.all_decisive
+
+
+@st.composite
+def quarter_grid_tensors(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    vals = draw(st.lists(st.integers(-8, 8), min_size=n ** m, max_size=n ** m))
+    return Tensor(np.array(vals, dtype=np.float64).reshape((n,) * m) / 4.0)
+
+
+def _statuses(A):
+    doc = classify(A).to_json()
+    canonical_dumps(doc)
+    return ({name: v["status"] for name, v in doc["verdicts"].items()},
+            doc["symmetric"], doc["consistency_violations"])
+
+
+class TestScaleInvariance:
+    """Every tolerance is relative to the largest entry, so units move no status."""
+
+    def test_tiny_nonsymmetric_matrix(self):
+        # an absolute 1e-12 floor calls the 2^-43 copy symmetric, and the
+        # symmetric-only theorems then report violations
+        A = Tensor.from_coo(2, 2, [((0, 0), 1.0), ((0, 1), -4.0), ((1, 1), 1.0)])
+        doc = classify(Tensor(A.data * 2.0 ** -43)).to_json()
+        assert doc["symmetric"] is False
+        assert doc["consistency_violations"] == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=quarter_grid_tensors(), k=st.integers(-60, 60))
+    def test_statuses_invariant_under_power_of_two_scaling(self, A, k):
+        assert _statuses(Tensor(A.data * 2.0 ** k)) == _statuses(A)

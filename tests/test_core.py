@@ -22,6 +22,7 @@ from tenclass import (
     scale_rows,
     symmetrize,
 )
+from tenclass.core import falls_short, tolerance
 from _oracles import naive_apply, naive_form
 
 
@@ -311,6 +312,18 @@ class TestDiagonalScalings:
         assert np.allclose(lhs, apply(A, d * x), rtol=1e-10, atol=1e-10)
         rhs = apply(scale_rows(A, d), d * x) / d
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+
+
+class TestToleranceRule:
+    def test_tolerance_is_relative_to_the_largest_entry(self):
+        assert tolerance(Tensor(np.array([[0.5, -4.0], [0.0, 1.0]])), 1e-3) == 4e-3
+        assert tolerance(Tensor.zeros(3, 2), 1e-3) == 1e-3
+
+    def test_falls_short_at_the_edges(self):
+        # strict: fails up to and at +tol; non-strict: only below -tol
+        assert falls_short(0.25, 0.25, True) and not falls_short(0.5, 0.25, True)
+        assert falls_short(-0.5, 0.25, False) and not falls_short(-0.25, 0.25, False)
+        assert falls_short(np.array([0.5, -0.5]), 0.25, False).tolist() == [False, True]
 
 
 class TestPredicatesAndSymmetry:

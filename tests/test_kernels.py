@@ -277,8 +277,8 @@ class TestProjection:
             f = apply(A, y)
             return float(f.max()), f
 
-        y, val = _polish_descent(np.array([0.9, 0.1]), 1e-6, 50, value_fn,
-                                 lambda y, f: apply_jacobian(A, y)[int(f.argmax())])
+        y, val = _polish_descent(np.array([0.9, 0.1]), 1e-6, value_fn,
+                                 lambda y, f: apply_jacobian(A, y)[int(f.argmax())], 1e-13)
         assert val == float(apply(A, y).max())
 
 

@@ -43,6 +43,19 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="tol"):
             spectral_radius_nonneg(Tensor.ones(3, 2), tol=0.0)
 
+    def test_rejects_order_one(self):
+        with pytest.raises(ValueError, match="order >= 2"):
+            spectral_radius_nonneg(Tensor(np.array([1.0, 2.0])))
+
+    def test_enclosure_does_not_depend_on_units(self):
+        # an absolute floor in the stop test would end the 2^-40 copy after one
+        # iteration, at a relative width of 0.3
+        B = np.random.default_rng(3).uniform(0.0, 1.0, (2, 2, 2))
+        enc = spectral_radius_nonneg(Tensor(B))
+        tiny = spectral_radius_nonneg(Tensor(B * 2.0 ** -40))
+        assert tiny.iterations == enc.iterations == 14
+        assert tiny.width / tiny.upper == enc.width / enc.upper <= 1e-12
+
     def test_sandwich_against_random_points(self, rng):
         # quotient bounds from sampled positive points must stay inside the
         # enclosure margins (lower bounds below the enclosure top and vice versa)

@@ -313,6 +313,14 @@ class TestDimOne:
             assert v.witness is None
         assert v.worst_bound == a
 
+    @pytest.mark.parametrize("search, strict", [("component", True), ("form", False)])
+    def test_value_on_the_tolerance_edge_holds(self, search, strict):
+        # at epsilon 1 the tolerance of [-0.5] is 0.5, and the non-strict class
+        # falls short only below -0.5: the point certifies instead of being
+        # left Inconclusive between the leaf and the witness rules
+        v = SEARCHES[search](Tensor(np.full((1, 1, 1), -0.5)), strict, epsilon=1.0)
+        assert (v.status, v.nodes, v.info) == (HOLDS, 1, {})
+
     @pytest.mark.parametrize("search", sorted(SEARCHES))
     def test_bound_is_the_entry_exactly(self, search):
         # averaging the six slot permutations of an order-4 entry 0.1 is off by an ulp
