@@ -24,6 +24,7 @@ from .core import (
     add,
     apply,
     as_vector,
+    clears,
     diag,
     falls_short,
     is_nonneg,
@@ -42,6 +43,7 @@ from .subdivision import (
     INCONCLUSIVE,
     INTERIOR_MARGIN,
     Verdict,
+    _check_params,
     decide_all_components_negative,
     decide_form_nonneg,
     search_nonneg_solution,
@@ -90,10 +92,7 @@ class Config:
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        _check_params(self.epsilon, self.max_depth)
 
     def to_json(self) -> dict:
         return {
@@ -186,8 +185,8 @@ class EntryConditions:
     drops: tuple
 
     def satisfied(self, strict: bool) -> bool:
-        """The sign rule of the pair, exact: no diagonal entry and some drop fall short."""
-        return (not any(falls_short(v, 0.0, strict) for v in self.diagonal)
+        """The sign rule of the pair, exact: every diagonal entry clears, some drop falls short."""
+        return (all(clears(v, 0.0, strict) for v in self.diagonal)
                 and any(falls_short(v, 0.0, strict) for v in self.drops))
 
 
@@ -427,7 +426,7 @@ class TensorClassifier:
                 "rho_converged": enc.converged}
         # M asks t - rho >= 0, strong M t - rho > 0, with t - rho somewhere in
         # [t - upper, t - lower]; strong M fails within tol, as E does
-        holds = not falls_short(dec.t - enc.upper, tol, strong)
+        holds = clears(dec.t - enc.upper, tol, strong)
         fails = falls_short(dec.t - enc.lower, tol, strong)
         status = HOLDS if holds else FAILS if fails else INCONCLUSIVE
         return Verdict(status, None, self.config.epsilon, 0, 0, None, info)

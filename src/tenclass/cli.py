@@ -84,12 +84,10 @@ def _cmd_verify(args) -> int:
             report = run_all(seed=args.seed, count=args.count, config=config)
             found = [(name, v) for name, sub in report["suites"].items()
                      for v in sub["violations"]]
-            inconclusive = report["inconclusive"]
         else:
             report = run_suite(args.suite, seed=args.seed, count=args.count,
                                config=config)
             found = [(args.suite, v) for v in report["violations"]]
-            inconclusive = report["inconclusive"]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -97,7 +95,7 @@ def _cmd_verify(args) -> int:
     if found:
         _dump_violations(found, args.out)
         print(f"{len(found)} violation(s) recorded", file=sys.stderr)
-    return 2 if inconclusive and not found else 0
+    return 2 if report["inconclusive"] and not found else 0
 
 
 def _dump_violations(found, out: str | None) -> None:

@@ -37,6 +37,7 @@ __all__ = [
     "max_abs",
     "tolerance",
     "falls_short",
+    "clears",
 ]
 
 
@@ -107,9 +108,7 @@ class Tensor:
     @classmethod
     def identity(cls, order: int, dim: int) -> "Tensor":
         """Tensor with ones on the main diagonal and zeros elsewhere."""
-        data = np.zeros((dim,) * order)
-        data[(np.arange(dim),) * order] = 1.0
-        return cls(data)
+        return cls.diagonal(np.ones(dim), order)
 
     @classmethod
     def diagonal(cls, values, order: int) -> "Tensor":
@@ -396,8 +395,13 @@ def tolerance(A: Tensor, rel: float) -> float:
 
 def falls_short(q, tol: float, strict: bool):
     """The one rule of every class pair, elementwise: ``q >= 0`` fails at
-    ``q < -tol``, its strict partner ``q > 0`` at ``q <= tol``."""
+    ``q < -tol``, its strict partner ``q > 0`` at ``q <= tol``.  False on NaN."""
     return q <= tol if strict else q < -tol
+
+
+def clears(q, tol: float, strict: bool):
+    """The pass side of the rule; a NaN neither clears nor falls short."""
+    return q > tol if strict else q >= -tol
 
 
 def _same_shape(A: Tensor, B: Tensor) -> None:

@@ -117,6 +117,7 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
     upper = np.inf
     iters = 0
     stage_iters = max(50, max_iter // len(_ETAS))
+    inflate = tolerance(B, 1.0)  # the inflation is relative to B's largest entry
 
     for eta in _ETAS:
         x = np.full(n, 1.0 / n)
@@ -136,7 +137,7 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
             stalled = stalled + 1 if gain <= 1e-3 * tol * upper else 0
             if stalled >= 50:
                 break
-            u_eta = u + tolerance(B, eta) * (x.sum() ** power)
+            u_eta = u + eta * inflate * (x.sum() ** power)
             if np.any(u_eta <= 0.0):
                 break  # left the open cone; retry with a larger inflation
             y = u_eta ** (1.0 / power)
@@ -253,7 +254,7 @@ def find_negative_hpp_eigenpair(
             continue
         pair = EigenPair(float(lam), x, 0.0)
         defect = residual(A, pair)
-        if defect > tolerance(A, tol):
+        if not defect <= tolerance(A, tol):  # a NaN residual is no eigenpair
             continue
         if falls_short(lam, tol, nonpositive):
             found.append(EigenPair(float(lam), x, defect))

@@ -33,6 +33,7 @@ from .core import (
     apply_batch,
     apply_jacobian,
     as_vector,
+    clears,
     falls_short,
     form_batch,
     form_value,
@@ -244,9 +245,6 @@ class Simplex:
             raise ValueError("a single point has no edge")
         return _longest_edge(self.vertices)
 
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def refine(self) -> tuple["Simplex", "Simplex"]:
         """Bisect the longest edge; the two children partition this simplex."""
         first, second = _bisect(self.vertices, *self.longest_edge())
@@ -437,23 +435,22 @@ def _polish_descent(y0, floor, value_fn, grad_fn, min_decrease):
     return y, val
 
 
-def _equalize(A: Tensor, y0, floor, iters: int = 15):
+def _equalize(A: Tensor, y0, floor, scale: float, iters: int = 15):
     """Gauss-Newton steps driving the near-active components of ``apply`` to zero.
 
     Witness sets can be lower-dimensional (every active component vanishes at
     the witness), where subdivision and subgradient steps close in only
     linearly; these steps converge at Newton speed.  The active components are
-    those within a quarter of the tensor scale below zero; a step is kept when
-    it lowers the largest component.  Returns the best point and its largest
-    component.
+    those within a quarter of ``scale`` (``tolerance(A, 1.0)``) below zero; a
+    step is kept when it lowers the largest component.  Returns the best point
+    and its largest component.
     """
-    active_width, min_decrease = tolerance(A, 0.25), tolerance(A, 1e-16)
     y = _project_simplex(y0, floor)
     basis = _sum_zero_basis(y.size)
     f = apply(A, y)
     best_y, best = y, float(f.max())
     for _ in range(iters):
-        active = f > -active_width
+        active = f > -0.25 * scale
         if not np.any(active):
             break
         J = apply_jacobian(A, y)[active] @ basis
@@ -465,7 +462,7 @@ def _equalize(A: Tensor, y0, floor, iters: int = 15):
             y_new = _project_simplex(y + damp * dy, floor)
             f_new = apply(A, y_new)
             s_new = float(f_new.max())
-            if s_new < best - min_decrease:
+            if s_new < best - 1e-16 * scale:
                 y, f = y_new, f_new
                 best_y, best = y_new, s_new
                 stepped = True
@@ -507,7 +504,8 @@ def decide_all_components_negative(
     _check_params(epsilon, max_depth)
     n = A.dim
     floor = interior_margin
-    tol = tolerance(A, epsilon)
+    scale = tolerance(A, 1.0)
+    tol, min_decrease = epsilon * scale, 1e-13 * scale
 
     def value_fn(y):
         f = apply(A, y)
@@ -517,10 +515,10 @@ def decide_all_components_negative(
         return apply_jacobian(A, y)[int(f.argmax())]
 
     def polish(y):
-        y, g = _polish_descent(y, floor, value_fn, grad_fn, tolerance(A, 1e-13))
+        y, g = _polish_descent(y, floor, value_fn, grad_fn, min_decrease)
         # the descent missed a witness of the strict class
-        if not strict and not falls_short(g, tol, True):
-            y2, g2 = _equalize(A, y, floor)
+        if not strict and clears(g, tol, True):
+            y2, g2 = _equalize(A, y, floor, scale)
             if g2 < g:
                 y = y2
         return y
@@ -551,10 +549,11 @@ def decide_form_nonneg(
     _check_params(epsilon, max_depth)
     sym = symmetrize(A)
     m = A.order
+    min_decrease = tolerance(A, 1e-13)
 
     def polish(y):
         return _polish_descent(y, 0.0, lambda v: (form_value(A, v), None),
-                               lambda v, _: m * apply(sym, v), tolerance(A, 1e-13))[0]
+                               lambda v, _: m * apply(sym, v), min_decrease)[0]
 
     return _min_search(
         A, sym.data, tuple(range(m)), lambda coeffs: float(coeffs.min()),
@@ -570,14 +569,18 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_
 
     The class asks ``point_value >= 0`` (``> 0`` if ``strict``).  A point that
     falls short, with no coordinate below the ``floor``, is a witness; a leaf
-    whose lower bound does not fall short is certified.  The queue pops the
-    least bound first, so the first certified pop certifies everything still
-    queued.  Heap entries are ``(bound, seq, depth, vertices, coeffs)``; every
-    verdict reports the root bound as ``worst_bound``.
+    whose lower bound clears is certified.  The queue pops the least bound
+    first (a NaN bound, from overflowed coefficients, as ``-inf``), so the
+    first certified pop certifies everything still queued.  Heap entries are
+    ``(bound, seq, depth, vertices, coeffs)``; every verdict reports the root
+    bound as ``worst_bound``.
     """
+    def key(lb):
+        return -math.inf if math.isnan(lb) else lb
+
     nodes, deepest, limit = 1, 0, None
     worst = leaf_bound(root_coeffs)
-    heap = [(worst, 0, 0, np.eye(A.dim), root_coeffs)]
+    heap = [(key(worst), 0, 0, np.eye(A.dim), root_coeffs)]
     seq = 1
     edge = tol if strict else -tol  # where the rule flips
     polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
@@ -592,7 +595,7 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_
 
     while heap:
         lb, _, depth, V, coeffs = heapq.heappop(heap)
-        if not falls_short(lb, tol, strict):
+        if clears(lb, tol, strict):
             if limit is None:
                 return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
             break
@@ -626,7 +629,7 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_
         first, second = _bisect(V, a, b)
         for child, cc in ((first, _replace_vertex(coeffs, coeff_axes, b, a)),
                           (second, _replace_vertex(coeffs, coeff_axes, a, b))):
-            heapq.heappush(heap, (leaf_bound(cc), seq, depth + 1, child, cc))
+            heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child, cc))
             seq += 1
 
     # every leaf left uncertified met the depth cap, or the node budget ran out
@@ -662,7 +665,7 @@ def search_nonneg_solution(
 
     def solution_ok(y):
         value = float(np.min(apply(A, y)))
-        return not falls_short(value, tol, strict), value
+        return clears(value, tol, strict), value
 
     if v.status == FAILS:
         return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from tenclass import (
     scale_rows,
     symmetrize,
 )
-from tenclass.core import falls_short, tolerance
+from tenclass.core import clears, falls_short, tolerance
 from _oracles import naive_apply, naive_form
 
 
@@ -324,6 +326,16 @@ class TestToleranceRule:
         assert falls_short(0.25, 0.25, True) and not falls_short(0.5, 0.25, True)
         assert falls_short(-0.5, 0.25, False) and not falls_short(-0.25, 0.25, False)
         assert falls_short(np.array([0.5, -0.5]), 0.25, False).tolist() == [False, True]
+
+    def test_clears_is_the_pass_side(self):
+        for q in (-0.5, -0.25, 0.25, 0.5):
+            for strict in (True, False):
+                assert clears(q, 0.25, strict) != falls_short(q, 0.25, strict)
+
+    def test_nan_neither_clears_nor_falls_short(self):
+        for strict in (True, False):
+            assert not clears(math.nan, 0.25, strict)
+            assert not falls_short(math.nan, 0.25, strict)
 
 
 class TestPredicatesAndSymmetry:

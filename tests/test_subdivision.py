@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from tenclass import (
     search_nonneg_solution,
     standard_simplex,
 )
-from tenclass.subdivision import _replace_vertex
+from tenclass.subdivision import _min_search, _replace_vertex
 
 
 def random_sub_simplex(rng, dim, splits):
@@ -327,6 +329,31 @@ class TestDimOne:
         for a in (0.1, -0.7):
             v = SEARCHES[search](Tensor(np.full((1,) * 4, a)), True)
             assert v.worst_bound == a
+
+
+class TestOverflow:
+    """A NaN leaf bound (overflowed coefficients) neither certifies nor refutes."""
+
+    # finite entries whose bisected coefficients overflow to NaN
+    HUGE = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 1, 1), -1e308),
+                                  ((1, 0, 0), -1e308), ((1, 1, 1), 1e308)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("search", ["component", "feasibility"])
+    def test_nan_leaves_leave_the_search_inconclusive(self, search):
+        v = SEARCHES[search](self.HUGE, True, max_depth=6)
+        assert (v.status, v.info) == (INCONCLUSIVE, {"limit": "max_depth"})
+
+    def test_nan_child_is_searched_before_a_certified_sibling(self):
+        # root bound -1; the first child clears, the second overflowed: popping
+        # the cleared child first would certify the uncertified NaN leaf
+        bounds = iter([-1.0, 1.0])
+        A = Tensor.identity(2, 2)
+        v = _min_search(A, A.data, (0, 1), lambda c: next(bounds, math.nan),
+                        lambda points: np.ones(len(points)), lambda y: 1.0,
+                        strict=False, tol=1e-9, floor=0.0, polish=lambda y: y,
+                        epsilon=1e-9, max_depth=4, max_nodes=100)
+        assert (v.status, v.info) == (INCONCLUSIVE, {"limit": "max_depth"})
 
 
 class TestVerdict:
