@@ -12,7 +12,7 @@ on the spectral radius enclosure.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -83,13 +83,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Config:
-    """The settable tolerance and limits; ``to_json`` also echoes the fixed
-    interior margin and spectral-radius settings every verdict is decided under."""
+    """The settable tolerance and limits; ``to_json`` also echoes the fixed node
+    budget, interior margin and spectral-radius settings every verdict is decided under."""
 
     epsilon: float = DEFAULT_EPSILON
     max_depth: int = DEFAULT_MAX_DEPTH
     subset_cap: int = 12
-    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
         _check_params(self.epsilon, self.max_depth)
@@ -99,7 +98,7 @@ class Config:
             "epsilon": float(self.epsilon),
             "max_depth": int(self.max_depth),
             "subset_cap": int(self.subset_cap),
-            "max_nodes": int(self.max_nodes),
+            "max_nodes": DEFAULT_MAX_NODES,
             "interior_margin": float(INTERIOR_MARGIN),
             "rho_tol": float(spectral.RHO_TOL),
             "rho_max_iter": int(spectral.RHO_MAX_ITER),
@@ -301,52 +300,61 @@ class TensorClassifier:
     def component_decision(self, J: tuple[int, ...], engine_strict: bool) -> Verdict:
         cfg = self.config
         return _memo(self._component, (J, engine_strict), lambda: decide_all_components_negative(
-            self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth,
-            max_nodes=cfg.max_nodes))
+            self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth))
 
     def form_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
         cfg = self.config
         return _memo(self._form, (J, strict), lambda: decide_form_nonneg(
-            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes))
+            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth))
 
     def feasibility_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
         cfg = self.config
         return _memo(self._feasible, (J, strict), lambda: search_nonneg_solution(
-            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth, max_nodes=cfg.max_nodes))
+            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth))
 
     # -- class predicates ----------------------------------------------------
 
-    def _scan(self, decide, subsets, fail_info) -> Verdict:
-        """Decide ``subsets`` in order up to the first Fails, which carries its
-        witness, embedded in the full index set, and ``fail_info(J, v)``.  Else
-        Inconclusive, listing the undecided subsets, or Holds; ``worst_bound``
-        is then the least root bound of the subsets."""
+    def _scan(self, decide, fail_info, almost: str | None = None) -> Verdict:
+        """Decide the nonempty subsets, sizes ascending and the full set last, up
+        to the first that breaks the class.
+
+        ``decide(J)`` is the engine verdict for subset ``J``, Holds when ``J``
+        is in the class.  A subset that Fails breaks it: the verdict Fails with
+        the witness, embedded in the full index set, and ``fail_info(J, v)``.
+        With an ``almost`` reason the full set must leave the class instead: if
+        it Holds, the verdict Fails with ``{"reason": almost}``.  Else the
+        verdict is Inconclusive, listing the undecided subsets, or Holds with the
+        full set's witness and info.  Whatever the status, ``worst_bound`` is the
+        least root bound among the subsets scanned, undecided ones included.
+        """
         n = self.tensor.dim
+        eps = self.config.epsilon
         nodes = depth = 0
         worst = None
         pending = []
-        for J in subsets:
+        for J in _nonempty_subsets(n):
             v = decide(J)
             nodes += v.nodes
             depth = max(depth, v.depth)
-            if v.status == FAILS:
-                witness = None if v.witness is None else _embed(v.witness, J, n)
-                return Verdict(FAILS, witness, v.epsilon, nodes, depth, v.worst_bound,
-                               fail_info(J, v))
             if v.worst_bound is not None:
                 worst = v.worst_bound if worst is None else min(worst, v.worst_bound)
             if v.status == INCONCLUSIVE:
                 pending.append(J)
+            elif almost and J == self._full:
+                if v.status == HOLDS:
+                    return Verdict(FAILS, None, eps, nodes, depth, worst, {"reason": almost})
+            elif v.status == FAILS:
+                witness = None if v.witness is None else _embed(v.witness, J, n)
+                return Verdict(FAILS, witness, eps, nodes, depth, worst, fail_info(J, v))
         if pending:
-            return Verdict(INCONCLUSIVE, None, self.config.epsilon, nodes, depth,
-                           worst, {"undecided_subsets": pending})
-        return Verdict(HOLDS, None, self.config.epsilon, nodes, depth, worst)
+            return Verdict(INCONCLUSIVE, None, eps, nodes, depth, worst,
+                           {"undecided_subsets": pending})
+        return Verdict(HOLDS, v.witness, eps, nodes, depth, worst, dict(v.info))
 
     def is_semi_positive(self, strict: bool = False) -> Verdict:
         """Semi-positive (strictly, if asked): no principal subtensor maps a
         positive vector to an all-negative (all-nonpositive) image."""
         return self._scan(lambda J: self.component_decision(J, not strict),
-                          _nonempty_subsets(self.tensor.dim),
                           lambda J, v: {"subset": J, **dict(v.info)})
 
     def _almost(self, decide, reason: str) -> Verdict:
@@ -355,28 +363,13 @@ class TensorClassifier:
         ``decide(J)`` is the engine verdict for subset ``J``, Holds when ``J``
         is in the class; ``reason`` explains a Fails whose full tensor is in it.
         """
-        n = self.tensor.dim
-        if n < 2:
+        if self.tensor.dim < 2:
             # the almost classes are defined for n >= 2 only: a 1-dimensional
             # tensor has no proper principal subtensor, so it is in none of them
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "dim_below_2"})
-        proper = self._scan(decide, list(_nonempty_subsets(n))[:-1],  # the full set is last
-                            lambda J, v: {"reason": "proper_subtensor_leaves_class",
-                                          "subset": J})
-        if proper.status == FAILS:
-            return proper
-        full = decide(self._full)
-        nodes = proper.nodes + full.nodes
-        depth = max(proper.depth, full.depth)
-        if full.status == HOLDS:
-            return Verdict(FAILS, None, full.epsilon, nodes, depth, full.worst_bound,
-                           {"reason": reason})
-        if INCONCLUSIVE in (proper.status, full.status):
-            return Verdict(INCONCLUSIVE, None, full.epsilon, nodes, depth,
-                           full.worst_bound, dict(proper.info))
-        return Verdict(HOLDS, full.witness, full.epsilon, nodes, depth,
-                       full.worst_bound, dict(full.info))
+        return self._scan(decide, lambda J, v: {"reason": "proper_subtensor_leaves_class",
+                                                "subset": J}, reason)
 
     def is_almost_semi_positive(self, strict: bool = False) -> Verdict:
         """Every proper principal subtensor in the class, while some ``x > 0``
@@ -397,16 +390,8 @@ class TensorClassifier:
         return self.feasibility_decision(self._full, False)
 
     def _completely(self, strict: bool) -> Verdict:
-        scan = self._scan(lambda J: self.feasibility_decision(J, strict),
-                          _nonempty_subsets(self.tensor.dim),
+        return self._scan(lambda J: self.feasibility_decision(J, strict),
                           lambda J, v: {"subset": J, "reason": "subtensor_has_no_solution"})
-        if scan.status == INCONCLUSIVE:
-            return replace(scan, worst_bound=None)
-        if scan.status == FAILS:
-            return scan
-        full = self.feasibility_decision(self._full, strict)
-        return replace(scan, witness=full.witness, worst_bound=full.worst_bound,
-                       info=dict(full.info))
 
     def is_completely_s(self) -> Verdict:
         return self._completely(True)

@@ -144,6 +144,8 @@ def _jsonable(v):
         return [float(x) for x in v]
     if isinstance(v, (np.floating, float)):
         return float(v)
+    if isinstance(v, bool):  # before int: a flag stays a flag
+        return v
     if isinstance(v, (np.integer, int)):
         return int(v)
     if isinstance(v, tuple):
@@ -367,16 +369,11 @@ def _candidate_points(V: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witness polishing
 
-_NULL_BASES: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _sum_zero_basis(n: int) -> np.ndarray:
-    basis = _NULL_BASES.get(n)
-    if basis is None:
-        _, _, vt = np.linalg.svd(np.ones((1, n)))
-        basis = vt[1:].T
-        _NULL_BASES[n] = basis
-    return basis
+    """Orthonormal basis of ``{d : sum(d) = 0}`` in ``R^n``, one column per direction."""
+    _, _, vt = np.linalg.svd(np.ones((1, n)))
+    return vt[1:].T
 
 
 def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:

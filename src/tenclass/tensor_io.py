@@ -48,32 +48,19 @@ def parse_tensor(obj) -> Tensor:
     if dim < 1:
         raise TensorFormatError("'dim' must be a positive integer")
     fmt = obj.get("format", "coo")
-    entries = obj.get("entries", [])
-    if fmt == "coo":
-        try:
-            pairs = [(tuple(int(i) for i in idx), float(v)) for idx, v in entries]
-        except (TypeError, ValueError) as exc:
-            raise TensorFormatError(f"malformed COO entry list: {exc}") from exc
-        for idx, v in pairs:
-            if not math.isfinite(v):
-                raise TensorFormatError(f"non-finite value at index {idx}")
-        try:
-            return Tensor.from_coo(order, dim, pairs)
-        except ValueError as exc:
-            raise TensorFormatError(str(exc)) from exc
-    if fmt == "dense":
-        arr = np.asarray(entries, dtype=np.float64)
-        if arr.shape != (dim,) * order:
-            raise TensorFormatError(
-                f"dense entries have shape {arr.shape}, expected {(dim,) * order}"
-            )
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise TensorFormatError(
-                f"non-finite value at index {tuple(int(i) for i in bad)}"
-            )
-        return Tensor(arr)
-    raise TensorFormatError(f"unknown format {fmt!r}")
+    if fmt not in ("coo", "dense"):
+        raise TensorFormatError(f"unknown format {fmt!r}")
+    shape = (dim,) * order
+    try:
+        if fmt == "coo":
+            return Tensor.from_coo(order, dim, obj.get("entries", []))
+        arr = np.asarray(obj.get("entries", []), dtype=np.float64)
+        if arr.shape == shape:
+            return Tensor(arr)
+    except (TypeError, ValueError) as exc:
+        # Tensor makes the one finite-entry check, for both formats
+        raise TensorFormatError(f"{fmt} entries: {exc}") from exc
+    raise TensorFormatError(f"dense entries have shape {arr.shape}, expected {shape}")
 
 
 def load_tensor(path) -> Tensor:

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from tenclass import (
     FAILS,
+    HOLDS,
+    INCONCLUSIVE,
     Tensor,
+    Verdict,
     add,
     apply,
     check_weighted_characterization,
@@ -26,6 +29,7 @@ from tenclass import (
     is_s_tensor,
     is_semi_positive,
     is_z_tensor,
+    load_fixtures,
     stabilizing_diagonal,
     symmetrize,
     z_decompose,
@@ -286,6 +290,82 @@ class TestFeasibilityClasses:
             assert (v.status, dict(v.info)) == (FAILS, {"reason": "no_solution"})
 
 
+def _scripted(decision: str, table: dict) -> TensorClassifier:
+    """A dim-2 classifier whose ``decision`` method answers from ``table``, by subset."""
+    c = TensorClassifier(Tensor.zeros(3, 2))
+    setattr(c, decision, lambda J, strict: table[J])
+    return c
+
+
+def _decided(status, bound, witness=None, info=None) -> Verdict:
+    point = None if witness is None else np.asarray(witness, dtype=float)
+    return Verdict(status, point, 1e-9, 1, 0, bound, info or {})
+
+
+class TestSubsetScan:
+    """Every subset-quantified class aggregates through one scan, whose
+    ``worst_bound`` is the least root bound among the subsets it decided."""
+
+    def test_e0_fails_with_least_bound_decided(self):
+        c = _scripted("component_decision", {
+            (0,): _decided(HOLDS, -1.0),
+            (1,): _decided(FAILS, -0.25, [1.0], {"witness_margin": 0.5})})
+        v = c.is_semi_positive()
+        assert (v.status, v.worst_bound, v.nodes) == (FAILS, -1.0, 2)
+        assert v.witness.tolist() == [0.0, 1.0]
+        assert dict(v.info) == {"subset": (1,), "witness_margin": 0.5}
+
+    def test_almost_holds_carries_full_witness_and_least_bound(self):
+        c = _scripted("component_decision", {
+            (0,): _decided(HOLDS, -3.0), (1,): _decided(HOLDS, 0.5),
+            (0, 1): _decided(FAILS, -2.0, [0.4, 0.6], {"witness_margin": 0.1})})
+        v = c.is_almost_semi_positive()
+        assert (v.status, v.worst_bound, v.nodes) == (HOLDS, -3.0, 3)
+        assert v.witness.tolist() == [0.4, 0.6]
+        assert dict(v.info) == {"witness_margin": 0.1}
+
+    def test_almost_fails_when_the_full_set_stays(self):
+        c = _scripted("form_decision", {
+            (0,): _decided(HOLDS, 1.0), (1,): _decided(INCONCLUSIVE, 0.5),
+            (0, 1): _decided(HOLDS, 2.0)})
+        v = c.is_almost_copositive()
+        assert (v.status, v.witness, v.worst_bound) == (FAILS, None, 0.5)
+        assert dict(v.info) == {"reason": "tensor_is_copositive"}
+
+    def test_almost_lists_an_undecided_full_set(self):
+        c = _scripted("form_decision", {
+            (0,): _decided(HOLDS, 1.0), (1,): _decided(HOLDS, 2.0),
+            (0, 1): _decided(INCONCLUSIVE, -0.5, info={"limit": "max_depth"})})
+        v = c.is_almost_copositive()
+        assert (v.status, v.worst_bound) == (INCONCLUSIVE, -0.5)
+        assert dict(v.info) == {"undecided_subsets": [(0, 1)]}
+
+    def test_completely_s_holds_with_least_bound(self):
+        c = _scripted("feasibility_decision", {
+            (0,): _decided(HOLDS, 1.0, [1.0]), (1,): _decided(HOLDS, 0.5, [1.0]),
+            (0, 1): _decided(HOLDS, 2.0, [0.5, 0.5], {"solution_margin": 1.5})})
+        v = c.is_completely_s()
+        assert (v.status, v.worst_bound) == (HOLDS, 0.5)
+        assert v.witness.tolist() == [0.5, 0.5]
+        assert dict(v.info) == {"solution_margin": 1.5}
+
+    def test_completely_s0_inconclusive_carries_least_bound(self):
+        c = _scripted("feasibility_decision", {
+            (0,): _decided(HOLDS, 3.0, [1.0]),
+            (1,): _decided(INCONCLUSIVE, -1.0, info={"limit": "max_depth"}),
+            (0, 1): _decided(HOLDS, 2.0, [0.5, 0.5])})
+        v = c.is_completely_s0()
+        assert (v.status, v.witness, v.worst_bound) == (INCONCLUSIVE, None, -1.0)
+        assert dict(v.info) == {"undecided_subsets": [(1,)]}
+
+    def test_real_completely_s_bound_is_the_subset_minimum(self, hadamard_pair):
+        c = TensorClassifier(hadamard_pair[1])
+        v = c.is_completely_s()
+        assert v.holds
+        bounds = [c.feasibility_decision(J, True).worst_bound for J in ((0,), (1,), (0, 1))]
+        assert v.worst_bound == min(bounds) < bounds[-1]
+
+
 class TestRowsAndEntries:
     def test_nonneg_row_examples(self, nonneg_row_tensor, almost_e0_tensor):
         assert has_nonneg_row_subtensor(nonneg_row_tensor) == 1
@@ -369,12 +449,17 @@ class TestClassify:
         doc = report.to_json()
         assert list(doc["verdicts"]) == list(CLASS_NAMES)
         assert doc["consistency_violations"] == []
-        assert [f.name for f in fields(Config)] == [
-            "epsilon", "max_depth", "subset_cap", "max_nodes"]
+        assert [f.name for f in fields(Config)] == ["epsilon", "max_depth", "subset_cap"]
+        assert doc["config"]["max_nodes"] == 200000
         assert doc["config"]["interior_margin"] == 1e-6
         assert (doc["config"]["rho_tol"], doc["config"]["rho_max_iter"]) == (1e-12, 3000)
         assert "s0_certify_cap" not in doc["config"]
         assert "seed" not in doc["config"]
+
+    def test_flags_serialize_as_booleans(self):
+        fixture = next(f for f in load_fixtures() if f.name == "zero_order3_dim2")
+        text = canonical_dumps(classify(fixture.tensor).to_json(), indent=2)
+        assert '"rho_converged": true' in text
 
     def test_order1_rejected(self):
         with pytest.raises(ValueError, match="order >= 2"):

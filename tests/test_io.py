@@ -41,6 +41,14 @@ def test_parse_rejects_wrong_dense_shape():
         parse_tensor(doc)
 
 
+@pytest.mark.parametrize("entries", [[[1, 2], [3]], [[1, "a"], [3, 4]],
+                                     [[1, 0], [float("nan"), 1]]],
+                         ids=["ragged", "non-numeric", "non-finite"])
+def test_parse_rejects_malformed_dense(entries):
+    with pytest.raises(TensorFormatError, match="dense entries"):
+        parse_tensor({"order": 2, "dim": 2, "format": "dense", "entries": entries})
+
+
 def test_parse_rejects_unknown_format():
     with pytest.raises(TensorFormatError, match="unknown format"):
         parse_tensor({"order": 2, "dim": 2, "format": "csr", "entries": []})
