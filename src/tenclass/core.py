@@ -197,35 +197,6 @@ def _jacobian_subscripts(order: int) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=256)
-def _batch_plan(form: bool, order: int, dim: int, rows: int) -> tuple[str, tuple | None]:
-    """``(subscripts, path)`` that evaluate the batch contraction as ``optimize=True`` does.
-
-    The greedy path depends only on the operand shapes, so it is planned once
-    per shape and handed back to ``einsum`` as an explicit path.  A plan of one
-    step over three or more operands is a single call of einsum's C kernel on
-    the operands in reverse order; it comes back as reversed subscripts and
-    ``path=None``.
-    """
-    subscripts = (_form_subscripts if form else _apply_subscripts)(order, True)
-    copies = subscripts.count(",")
-    shapes = [(dim,) * order] + [(rows, dim)] * copies
-    path = np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize="greedy")[0]
-    if len(path) == 2 and len(path[1]) == copies + 1 > 2:
-        ins, out = subscripts.split("->")
-        return ",".join(reversed(ins.split(","))) + "->" + out, None
-    return subscripts, tuple(path)
-
-
-def _contract_batch(A: Tensor, X: np.ndarray, form: bool) -> np.ndarray:
-    """``np.einsum(subscripts, A, X, ..., X, optimize=True)`` without re-planning."""
-    subs, path = _batch_plan(form, A.order, A.dim, X.shape[0])
-    copies = (X,) * (A.order if form else A.order - 1)
-    if path is None:
-        return np.einsum(subs, *copies, A.data)
-    return np.einsum(subs, A.data, *copies, optimize=path)
-
-
 def _as_batch(A: Tensor, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != A.dim:
@@ -252,7 +223,7 @@ def apply_batch(A: Tensor, X) -> np.ndarray:
     m = A.order
     if m == 1:
         return np.broadcast_to(A.data, X.shape).copy()
-    return _contract_batch(A, X, form=False)
+    return np.einsum(_apply_subscripts(m, True), A.data, *(X,) * (m - 1), optimize=True)
 
 
 def apply_jacobian(A: Tensor, x) -> np.ndarray:
@@ -278,7 +249,7 @@ def form_value(A: Tensor, x) -> float:
 def form_batch(A: Tensor, X) -> np.ndarray:
     """Vectorized :func:`form_value` over the rows of ``X``."""
     X = _as_batch(A, X)
-    return _contract_batch(A, X, form=True)
+    return np.einsum(_form_subscripts(A.order, True), A.data, *(X,) * A.order, optimize=True)
 
 
 def principal_subtensor(A: Tensor, J) -> Tensor:

@@ -5,8 +5,11 @@ Every quantified claim of the form "no nonnegative x makes all components of
 orthant" reduces, by homogeneity, to a statement over the standard simplex.
 The engine bounds the multilinear forms on sub-simplices through their
 barycentric coefficient tensors (the coefficients are a convex-combination
-representation, so their min and max bound the form), bisects the longest
-edge of the worst simplex first, and stops with a three-valued verdict:
+representation, so their min and max bound the form).  It refines one level
+at a time: every leaf whose bound does not certify is bisected at its longest
+edge, all of them in one set of array operations.  Which leaves a certificate
+needs does not depend on the order they are refined in, so a ``Holds`` is the
+one a best-first search would reach.  It stops with a three-valued verdict:
 
 * ``Holds``        -- every leaf carries a certifying bound,
 * ``Fails``        -- a concrete witness vector, re-checked against the claim,
@@ -18,7 +21,6 @@ coefficient scale normalized by the tensor's largest absolute entry.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,12 +32,10 @@ import numpy as np
 from .core import (
     Tensor,
     apply,
-    apply_batch,
     apply_jacobian,
     as_vector,
     clears,
     falls_short,
-    form_batch,
     form_value,
     symmetrize,
     tolerance,
@@ -166,22 +166,35 @@ def _edge_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _longest_edge(V: np.ndarray) -> tuple[int, int]:
-    """Vertex pair of the longest edge, ties broken lexicographically."""
-    first, second = _edge_pairs(V.shape[0])
-    diff = V.take(first, axis=0) - V.take(second, axis=0)
-    best = int((diff * diff).sum(axis=1).argmax())
-    return int(first[best]), int(second[best])
+def _longest_edges(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pair ``(a[i], b[i])`` of the longest edge of each leaf ``V[i]``.
+
+    ``V`` holds one ``(r, n)`` vertex array per leaf; ties go to the first
+    pair in lexicographic order.
+    """
+    first, second = _edge_pairs(V.shape[1])
+    diff = V[:, first] - V[:, second]
+    best = (diff * diff).sum(axis=2).argmax(axis=1)
+    return first[best], second[best]
 
 
-def _bisect(V: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the two halves split at the midpoint of edge ``(a, b)``."""
-    mid = 0.5 * (V[a] + V[b])
-    first = V.copy()
-    first[b] = mid
-    second = V.copy()
-    second[a] = mid
-    return first, second
+def _halve(X: np.ndarray, axes: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Both halves of each leaf's array, split at the midpoint of edge ``(a[i], b[i])``.
+
+    ``X[i]`` is indexed by vertex along each of ``axes``: a vertex array
+    (axes ``(0,)``) or a coefficient array.  Row ``2i`` replaces vertex
+    ``b[i]`` by the midpoint, row ``2i + 1`` replaces ``a[i]``; multilinearity
+    makes that an average of the two vertex slices along every axis in turn.
+    """
+    out = np.repeat(X, 2, axis=0)
+    rows = np.arange(len(out))
+    p, q = np.repeat(b, 2), np.repeat(a, 2)
+    p[1::2], q[1::2] = a, b
+    shape = X.shape[1:]
+    for ax in axes:
+        view = out.reshape(len(out), math.prod(shape[:ax]), shape[ax], -1)
+        view[rows, :, p] = 0.5 * (view[rows, :, p] + view[rows, :, q])
+    return out
 
 
 class Simplex:
@@ -245,11 +258,13 @@ class Simplex:
         """Vertex pair of the longest edge, ties broken lexicographically."""
         if self.num_vertices < 2:
             raise ValueError("a single point has no edge")
-        return _longest_edge(self.vertices)
+        a, b = _longest_edges(self.vertices[None])
+        return int(a[0]), int(b[0])
 
     def refine(self) -> tuple["Simplex", "Simplex"]:
         """Bisect the longest edge; the two children partition this simplex."""
-        first, second = _bisect(self.vertices, *self.longest_edge())
+        a, b = self.longest_edge()
+        first, second = _halve(self.vertices[None], (0,), np.array([a]), np.array([b]))
         return (
             Simplex(first, self.depth + 1, validate=False),
             Simplex(second, self.depth + 1, validate=False),
@@ -329,41 +344,6 @@ def _slot_symmetrized_rows(A: Tensor) -> np.ndarray:
         acc += np.transpose(A.data, (0,) + perm)
         count += 1
     return acc / count
-
-
-@lru_cache(maxsize=None)
-def _vertex_slices(ndim: int, axes: tuple[int, ...], p: int, q: int) -> tuple:
-    """``(p slice, q slice)`` index tuples along each of ``axes``."""
-    out = []
-    for ax in axes:
-        sl_p = [slice(None)] * ndim
-        sl_p[ax] = p
-        sl_q = [slice(None)] * ndim
-        sl_q[ax] = q
-        out.append((tuple(sl_p), tuple(sl_q)))
-    return tuple(out)
-
-
-def _replace_vertex(coeffs: np.ndarray, axes: tuple[int, ...], p: int, q: int) -> np.ndarray:
-    """Coefficient array after replacing vertex ``p`` by the midpoint of ``(p, q)``.
-
-    Multilinearity turns the update into averaging the ``p`` and ``q`` slices
-    along every vertex axis, one axis at a time.
-    """
-    out = coeffs.copy()
-    for sl_p, sl_q in _vertex_slices(out.ndim, axes, p, q):
-        out[sl_p] = 0.5 * (out[sl_p] + out[sl_q])
-    return out
-
-
-def _candidate_points(V: np.ndarray) -> np.ndarray:
-    """The centroid, then the vertices; the centroid is ``V.mean(axis=0)`` bit for bit."""
-    r = V.shape[0]
-    points = np.empty((r + 1, V.shape[1]))
-    np.add.reduce(V, axis=0, out=points[0])
-    points[0] /= r
-    points[1:] = V
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +479,6 @@ def decide_all_components_negative(
     (``> 0`` when not ``strict``), so the class strictness is ``not strict``.
     """
     _check_params(epsilon, max_depth)
-    n = A.dim
     floor = interior_margin
     scale = tolerance(A, 1.0)
     tol, min_decrease = epsilon * scale, 1e-13 * scale
@@ -521,10 +500,7 @@ def decide_all_components_negative(
         return y
 
     return _min_search(
-        A, _slot_symmetrized_rows(A), tuple(range(1, A.order)),
-        lambda coeffs: float(coeffs.reshape(n, -1).min(axis=1).max()),
-        lambda points: apply_batch(A, points).max(axis=1),
-        lambda y: value_fn(y)[0],
+        A, _slot_symmetrized_rows(A), tuple(range(1, A.order)), lambda y: value_fn(y)[0],
         strict=not strict, tol=tol, floor=floor, polish=polish, epsilon=epsilon,
         max_depth=max_depth, max_nodes=max_nodes,
     )
@@ -553,34 +529,67 @@ def decide_form_nonneg(
                                lambda v, _: m * apply(sym, v), min_decrease)[0]
 
     return _min_search(
-        A, sym.data, tuple(range(m)), lambda coeffs: float(coeffs.min()),
-        lambda points: form_batch(A, points), lambda y: form_value(A, y),
+        A, sym.data, tuple(range(m)), lambda y: form_value(A, y),
         strict=strict, tol=tolerance(A, epsilon), floor=0.0, polish=polish,
         epsilon=epsilon, max_depth=max_depth, max_nodes=max_nodes,
     )
 
 
-def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_value, *,
-                strict, tol, floor, polish, epsilon, max_depth, max_nodes) -> Verdict:
-    """Best-first hunt for a point whose ``point_value`` falls short of the class.
+def _leaf_bounds(G: np.ndarray) -> np.ndarray:
+    """Each leaf's lower bound: the largest row minimum of its coefficients.
 
-    The class asks ``point_value >= 0`` (``> 0`` if ``strict``).  A point that
-    falls short, with no coordinate below the ``floor``, is a witness; a leaf
-    whose lower bound clears is certified.  The queue pops the least bound
-    first (a NaN bound, from overflowed coefficients, as ``-inf``), so the
-    first certified pop certifies everything still queued.  Heap entries are
-    ``(bound, seq, depth, vertices, coeffs)``; every verdict reports the root
-    bound as ``worst_bound``.
+    ``G[i]`` holds leaf ``i``'s coefficients with the vertex axes flattened,
+    one row per component (a single row for a form).
     """
-    def key(lb):
-        return -math.inf if math.isnan(lb) else lb
+    return G.min(axis=2).max(axis=1)
 
-    nodes, deepest, limit = 1, 0, None
-    worst = leaf_bound(root_coeffs)
-    heap = [(key(worst), 0, 0, np.eye(A.dim), root_coeffs)]
-    seq = 1
+
+def _candidate_values(G: np.ndarray, r: int) -> np.ndarray:
+    """Each leaf's value at its centroid, then at each of its ``r`` vertices.
+
+    The values are read off the coefficients ``G`` (laid out as for
+    :func:`_leaf_bounds`): at the centroid every barycentric monomial is
+    equal, so a row's value is the mean of its coefficients, and at vertex
+    ``j`` it is the ``(j, ..., j)`` coefficient, every ``step``-th flat entry.
+    A leaf's value is its largest row value.
+    """
+    step = (G.shape[2] - 1) // (r - 1) if r > 1 else 1
+    return np.concatenate((G.mean(axis=2).max(axis=1)[:, None],
+                           G[:, :, ::step].max(axis=1)), axis=1)
+
+
+def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, polish,
+                epsilon, max_depth, max_nodes) -> Verdict:
+    """Level-by-level hunt for a point whose ``point_value`` falls short of the class.
+
+    The class asks ``point_value >= 0`` (``> 0`` if ``strict``) on the
+    simplex.  ``root_coeffs`` bound it there: ``coeff_axes`` index vertices
+    and any other axis (the component, in a component search) indexes rows,
+    and a leaf's bound is its largest row minimum.  A leaf whose bound clears
+    is certified; every other leaf of a level (a NaN bound, from overflowed
+    coefficients, among them) is bisected at its longest edge in one set of
+    array operations.  A point that falls short, with no coordinate below
+    the ``floor``, is a witness; every verdict reports the root bound as
+    ``worst_bound``.
+
+    Whether a leaf is refined depends only on its own bound and its
+    ancestors', never on the order, so a Holds refines the same leaves, and
+    reports the same ``nodes`` and ``depth``, as a best-first search would.
+    Polishing keeps the best-first order within a level: the leaves whose
+    best candidate (:func:`_candidate_values`, or ``point_value`` at the
+    points where overflowed coefficients give no finite value) beats the gate
+    are polished in bound order.  A search that ends on a witness may
+    therefore report other ``nodes`` or another witness than a best-first one.
+    """
+    n = A.dim
+    span = n ** len(coeff_axes)
     edge = tol if strict else -tol  # where the rule flips
     polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
+    V = np.eye(n)[None]
+    C = root_coeffs[None]
+    bounds = _leaf_bounds(C.reshape(1, -1, span))
+    worst = float(bounds[0])
+    nodes, depth = 1, 0
 
     def witness_ok(y):
         q = point_value(y)
@@ -588,49 +597,55 @@ def _min_search(A, root_coeffs, coeff_axes, leaf_bound, candidate_values, point_
 
     def fails(y):
         return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=nodes,
-                             depth=deepest, worst_bound=worst)
+                             depth=depth, worst_bound=worst)
 
-    while heap:
-        lb, _, depth, V, coeffs = heapq.heappop(heap)
-        if clears(lb, tol, strict):
-            if limit is None:
-                return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
-            break
-        if len(V) == 1:
+    while True:
+        keep = ~clears(bounds, tol, strict)
+        if not keep.all():
+            if not keep.any():
+                return Verdict(HOLDS, None, epsilon, nodes, depth, worst)
+            V, C, bounds = V[keep], C[keep], bounds[keep]
+        if n == 1:
             # a one-vertex simplex is a point whose bound is its value
-            return fails(V[0])
+            return fails(V[0, 0])
 
-        points = _candidate_points(V)
-        values = candidate_values(points)
-        best_idx = int(values.argmin())
-        if float(values[best_idx]) < polish_gate:
-            y = polish(points[best_idx])
-            ok, reached = witness_ok(y)
-            if ok:
-                return fails(y)
-            # a failed polish stops at or above the edge (its points keep the
-            # floor), so later starts must beat the minimum it reached
-            polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
+        values = _candidate_values(C.reshape(len(C), -1, span), n)
+        best = values.min(axis=1)
+        for i in np.flatnonzero(~np.isfinite(best)):
+            # overflowed coefficients bound nothing: value the points themselves
+            values[i] = [point_value(y) for y in (V[i].mean(axis=0), *V[i])]
+            best[i] = values[i].min()
+        starts = np.flatnonzero(best < polish_gate)
+        if starts.size:
+            key = bounds[starts]
+            for i in starts[np.argsort(np.where(np.isnan(key), -np.inf, key), kind="stable")]:
+                if not best[i] < polish_gate:
+                    continue
+                j = int(values[i].argmin())
+                y = polish(V[i].mean(axis=0) if j == 0 else V[i, j - 1])
+                ok, reached = witness_ok(y)
+                if ok:
+                    return fails(y)
+                # a failed polish stops at or above the edge (its points keep
+                # the floor), so later starts must beat the minimum it reached
+                polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
 
         if depth >= max_depth:
-            limit = "max_depth"
-            continue
-        if nodes + 2 > max_nodes:
-            # the node budget ends the search, so it names the limit
-            limit = "max_nodes"
-            break
-
-        a, b = _longest_edge(V)
-        nodes += 2
-        deepest = max(deepest, depth + 1)
-        first, second = _bisect(V, a, b)
-        for child, cc in ((first, _replace_vertex(coeffs, coeff_axes, b, a)),
-                          (second, _replace_vertex(coeffs, coeff_axes, a, b))):
-            heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child, cc))
-            seq += 1
-
-    # every leaf left uncertified met the depth cap, or the node budget ran out
-    return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
+            return Verdict(INCONCLUSIVE, None, epsilon, nodes, depth, worst,
+                           {"limit": "max_depth"})
+        room = max(max_nodes - nodes, 0) // 2
+        if room < len(C):
+            # the budget splits ``room`` more leaves, the least bounds first,
+            # and ends the search there: their children are counted, not built
+            nodes += 2 * room
+            depth += 1 if room else 0
+            return Verdict(INCONCLUSIVE, None, epsilon, nodes, depth, worst,
+                           {"limit": "max_nodes"})
+        a, b = _longest_edges(V)
+        V, C = _halve(V, (0,), a, b), _halve(C, coeff_axes, a, b)
+        bounds = _leaf_bounds(C.reshape(len(C), -1, span))
+        nodes += len(C)
+        depth += 1
 
 
 def search_nonneg_solution(

@@ -1,10 +1,14 @@
 """Independent brute-force references the tests check the library against.
 
-Everything here is deliberately naive: plain Python loops over index tuples
-and dense grid scans of the simplex.  None of it shares code with the library
-paths it validates.
+Everything here is deliberately naive: plain Python loops over index tuples,
+dense grid scans of the simplex, and the engine's search one leaf at a time.
+None of it shares code with the library paths it validates; the best-first
+search reuses only the verdict, tolerance and polishing pieces that are not
+what it checks.
 """
 
+import heapq
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -98,6 +102,104 @@ def loop_longest_edge(V: np.ndarray) -> tuple[int, int]:
             if d > best[0]:
                 best = (d, a, b)
     return best[1], best[2]
+
+
+def bisect_vertices(V: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the two halves of one simplex split at the midpoint of edge ``(a, b)``."""
+    mid = 0.5 * (V[a] + V[b])
+    first = V.copy()
+    first[b] = mid
+    second = V.copy()
+    second[a] = mid
+    return first, second
+
+
+def replace_vertex(coeffs: np.ndarray, axes, p: int, q: int) -> np.ndarray:
+    """One leaf's coefficients after vertex ``p`` moves to the midpoint of ``(p, q)``.
+
+    The ``p`` and ``q`` slices are averaged along every vertex axis in turn.
+    """
+    out = coeffs.copy()
+    for ax in axes:
+        sl_p = [slice(None)] * out.ndim
+        sl_q = [slice(None)] * out.ndim
+        sl_p[ax], sl_q[ax] = p, q
+        out[tuple(sl_p)] = 0.5 * (out[tuple(sl_p)] + out[tuple(sl_q)])
+    return out
+
+
+def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor,
+                      polish, epsilon, max_depth, max_nodes):
+    """The engine's search one leaf at a time, least bound first, from a heap.
+
+    A drop-in for ``subdivision._min_search``: it pops the least bound (a NaN
+    as ``-inf``), certifies on the first pop that clears, and evaluates each
+    popped leaf's candidates (the centroid, then the vertices) by contracting
+    ``A`` at the points.  Heap entries are ``(key, seq, depth, vertices,
+    coeffs)``.
+    """
+    from tenclass.core import apply_batch, clears, falls_short, form_batch, tolerance
+    from tenclass.subdivision import _POLISH_TRIGGER, HOLDS, INCONCLUSIVE, Verdict
+
+    n = A.dim
+    form = coeff_axes[0] == 0
+
+    def leaf_bound(c):
+        return float(c.min()) if form else float(c.reshape(n, -1).min(axis=1).max())
+
+    def candidate_values(points):
+        return form_batch(A, points) if form else apply_batch(A, points).max(axis=1)
+
+    def key(lb):
+        return -math.inf if math.isnan(lb) else lb
+
+    nodes, deepest, limit = 1, 0, None
+    worst = leaf_bound(root_coeffs)
+    heap = [(key(worst), 0, 0, np.eye(n), root_coeffs)]
+    seq = 1
+    edge = tol if strict else -tol
+    polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
+
+    def witness_ok(y):
+        q = point_value(y)
+        return falls_short(q, tol, strict) and float(np.min(y)) >= floor * 0.999, q
+
+    def fails(y):
+        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=nodes,
+                             depth=deepest, worst_bound=worst)
+
+    while heap:
+        lb, _, depth, V, coeffs = heapq.heappop(heap)
+        if clears(lb, tol, strict):
+            if limit is None:
+                return Verdict(HOLDS, None, epsilon, nodes, deepest, worst)
+            break
+        if len(V) == 1:
+            return fails(V[0])
+        points = np.vstack((V.mean(axis=0), V))
+        values = candidate_values(points)
+        best_idx = int(values.argmin())
+        if float(values[best_idx]) < polish_gate:
+            y = polish(points[best_idx])
+            ok, reached = witness_ok(y)
+            if ok:
+                return fails(y)
+            polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
+        if depth >= max_depth:
+            limit = "max_depth"
+            continue
+        if nodes + 2 > max_nodes:
+            limit = "max_nodes"
+            break
+        a, b = loop_longest_edge(V)
+        nodes += 2
+        deepest = max(deepest, depth + 1)
+        first, second = bisect_vertices(V, a, b)
+        for child, cc in ((first, replace_vertex(coeffs, coeff_axes, b, a)),
+                          (second, replace_vertex(coeffs, coeff_axes, a, b))):
+            heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child, cc))
+            seq += 1
+    return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
 
 
 def loop_apply_jacobian(data: np.ndarray, x) -> np.ndarray:

@@ -224,11 +224,14 @@ def test_criterion_5_engine_soundness():
                "cross-validation agrees with every fixture verdict", ok)
 
 
-def test_criterion_6_determinism():
+def test_criterion_6_determinism(tmp_path):
     env = dict(os.environ)
+    # the child interpreter does not see pytest's pythonpath setting
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     outputs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
-        out = f"/tmp/tenclass_verify_{tag}.json"
+        out = str(tmp_path / f"verify_{tag}.json")
         env["TENCLASS_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "tenclass.cli", "--seed", "7", "--out", out,

@@ -2,25 +2,35 @@
 
 The engine's verdicts, witnesses and node counts are part of the behaviour
 contract, so every fast path here is compared with ``np.array_equal`` (not a
-tolerance) against the straightforward computation it replaces.
+tolerance) against the straightforward computation it replaces.  The one
+exception is the candidate values the engine reads off a leaf's coefficients
+instead of contracting at its points: they only choose polishing starts, and
+are checked against the contractions to 1e-12 of the tensor scale.
 """
 
-import heapq
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, form_value
+from tenclass import Tensor, apply, apply_batch, apply_jacobian, core, form_batch, form_value
 from tenclass import subdivision
-from tenclass.core import as_vector
+from tenclass.core import as_vector, symmetrize
 from tenclass.subdivision import (
-    _candidate_points,
-    _longest_edge,
+    _candidate_values,
+    _halve,
+    _longest_edges,
     _polish_descent,
     _project_simplex,
+    _slot_symmetrized_rows,
 )
-from _oracles import loop_apply_jacobian, loop_longest_edge, numpy_project_simplex
+from _oracles import (
+    bisect_vertices,
+    loop_apply_jacobian,
+    loop_longest_edge,
+    numpy_project_simplex,
+    replace_vertex,
+)
 
 ORDERS = (1, 2, 3, 4)
 DIMS = range(1, 9)
@@ -168,38 +178,94 @@ def _bisection_walk(rng, n, depth):
         V[b if rng.random() < 0.5 else a] = mid
 
 
+def _one_leaf_edge(V):
+    a, b = _longest_edges(V[None])
+    return int(a[0]), int(b[0])
+
+
 class TestNodeStep:
+    """The level step (longest edges, halving) equals the per-leaf step bit for bit."""
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_longest_edge_matches_loop_to_depth_40(self, n):
         rng = np.random.default_rng(n)
-        steps = 0
-        for _ in range(40):
-            for V in _bisection_walk(rng, n, 40):
-                assert _longest_edge(V) == loop_longest_edge(V)
-                steps += 1
-        assert steps == 1600
+        leaves = [V for _ in range(40) for V in _bisection_walk(rng, n, 40)]
+        assert len(leaves) == 1600
+        a, b = _longest_edges(np.stack(leaves))
+        for V, pair in zip(leaves, zip(a.tolist(), b.tolist())):
+            assert pair == loop_longest_edge(V) == _one_leaf_edge(V)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_standard_simplex_picks_first_pair(self, n):
         # every edge of the standard simplex has the same length
-        assert _longest_edge(np.eye(n)) == (0, 1)
+        assert _one_leaf_edge(np.eye(n)) == (0, 1)
         assert loop_longest_edge(np.eye(n)) == (0, 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_halving_matches_per_leaf_updates(self, m, n):
+        rng = np.random.default_rng([m, n])
+        leaves = np.stack([V for _ in range(3) for V in _bisection_walk(rng, n, 12)])
+        k = len(leaves)
+        a, b = _longest_edges(leaves)
+        halves = _halve(leaves, (0,), a, b)
+        # component layout: one row per component, then m - 1 vertex axes
+        rows = rng.normal(size=(k, n) + (n,) * (m - 1))
+        row_halves = _halve(rows, tuple(range(1, m)), a, b)
+        # form layout: m vertex axes
+        forms = rng.normal(size=(k,) + (n,) * m)
+        form_halves = _halve(forms, tuple(range(m)), a, b)
+        for i in range(k):
+            first, second = bisect_vertices(leaves[i], a[i], b[i])
+            assert np.array_equal(halves[2 * i], first)
+            assert np.array_equal(halves[2 * i + 1], second)
+            for got, coeffs, axes in ((row_halves, rows, tuple(range(1, m))),
+                                      (form_halves, forms, tuple(range(m)))):
+                assert np.array_equal(got[2 * i], replace_vertex(coeffs[i], axes, b[i], a[i]))
+                assert np.array_equal(got[2 * i + 1], replace_vertex(coeffs[i], axes, a[i], b[i]))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_candidates_are_centroid_then_vertices(self, n):
-        rng = np.random.default_rng(50 + n)
-        walks = [V for _ in range(5) for V in _bisection_walk(rng, n, 40)] if n > 1 else []
-        for V in walks + [rng.dirichlet(np.ones(n), size=n) for _ in range(20)]:
-            points = _candidate_points(V)
-            assert np.array_equal(points[0], V.mean(axis=0))
-            assert np.array_equal(points[1:], V)
+        """Values read off the coefficients equal contractions at the candidate points."""
+        for m in (2, 3, 4):
+            rng = np.random.default_rng([60, m, n])
+            A = _random_tensor(rng, m, n)
+            scale = float(np.max(np.abs(A.data)))
+            layouts = (
+                (symmetrize(A).data, tuple(range(m)), lambda X: form_batch(A, X)),
+                (_slot_symmetrized_rows(A), tuple(range(1, m)),
+                 lambda X: apply_batch(A, X).max(axis=1)),
+            )
+            for root, axes, contract in layouts:
+                V, C = np.eye(n)[None], root[None]
+                for level in range(8):
+                    values = _candidate_values(C.reshape(len(C), -1, n ** len(axes)), n)
+                    points = np.concatenate((V.mean(axis=1)[:, None], V), axis=1)
+                    expected = np.stack([contract(P) for P in points])
+                    if level == 0 and (axes[0] == 0 or m < 4):
+                        # the root's vertices are the unit vectors, whose values are entries
+                        assert np.array_equal(values[:, 1:], expected[:, 1:])
+                    elif level == 0:
+                        # an order-4 row entry is the average of its six equal
+                        # slot permutations, which can be an ulp off the entry
+                        np.testing.assert_array_max_ulp(values[:, 1:], expected[:, 1:],
+                                                        maxulp=1)
+                    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
+                    if n == 1:
+                        break
+                    a, b = _longest_edges(V)
+                    V, C = _halve(V, (0,), a, b), _halve(C, axes, a, b)
+                    keep = rng.permutation(len(V))[:6]
+                    V, C = V[keep], C[keep]
 
 
 class TestTracedNames:
-    """The engine reaches the contractions through the names ``subdivision`` binds.
+    """Polishing and witness checks go through the names ``subdivision`` binds.
 
-    The benchmark's per-layer tracing wraps exactly those names and counts one
-    batch call as one heap pop, so a kernel that bypassed them would go unseen.
+    The benchmark's per-layer tracing wraps exactly those names, so a
+    pointwise kernel that bypassed them would go unseen.  The engine reads
+    every bound and candidate off its coefficient arrays, so it makes no
+    batch contraction at all.
     """
 
     @pytest.fixture
@@ -212,31 +278,30 @@ class TestTracedNames:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("apply_batch", "form_batch", "apply", "apply_jacobian", "form_value"):
+        for name in ("apply", "apply_jacobian", "form_value"):
             monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
-        monkeypatch.setattr(heapq, "heappop", counting("pop", heapq.heappop))
+        for name in ("apply_batch", "form_batch"):
+            assert not hasattr(subdivision, name)
+            monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
         return counts
 
     def test_component_search_fails_with_polishing(self, calls, almost_e0_tensor):
         v = subdivision.decide_all_components_negative(almost_e0_tensor, strict=True)
         assert v.status == subdivision.FAILS
-        # the last pop found the witness after its batch call
-        assert calls["apply_batch"] == calls["pop"] > 0
-        assert calls["form_batch"] == 0
+        assert calls["apply_batch"] == calls["form_batch"] == 0
         assert calls["apply"] > 0 and calls["apply_jacobian"] > 0
 
     def test_component_search_holds(self, calls):
         A = Tensor.identity(3, 3)
         v = subdivision.decide_all_components_negative(A, strict=False)
-        assert v.holds
-        # the certifying pop ends the search before any batch call
-        assert calls["apply_batch"] == calls["pop"] - 1 == (v.nodes - 1) // 2
+        assert v.holds and v.nodes > 1
+        # no candidate beat the gate, so nothing was polished or evaluated
+        assert sum(calls.values()) == 0
 
     def test_form_search_polishes_through_bound_names(self, calls, almost_c_tensor):
         v = subdivision.decide_form_nonneg(almost_c_tensor, strict=False)
         assert v.status == subdivision.FAILS
-        assert calls["form_batch"] == calls["pop"] > 0
-        assert calls["apply_batch"] == 0
+        assert calls["apply_batch"] == calls["form_batch"] == 0
         assert calls["form_value"] > 0 and calls["apply"] > 0
 
 
@@ -337,7 +402,9 @@ class TestPolishStarts:
     def test_witness_after_a_failed_polish(self, starts):
         A = LATE_WITNESS_TENSOR
         v = subdivision.decide_all_components_negative(A, strict=True)
-        # the search returns at its first successful polish, so the first missed
-        assert (v.status, v.nodes) == (subdivision.FAILS, 15)
+        # the search returns at its first successful polish, so the first
+        # missed; it comes in the level of depth 3 (a best-first search got
+        # there after 15 nodes)
+        assert (v.status, v.nodes, v.depth) == (subdivision.FAILS, 13, 3)
         assert len(starts) == len(set(starts)) == 2
         assert float(np.max(apply(A, v.witness))) < -1e-9 * float(np.max(np.abs(A.data)))

@@ -21,7 +21,10 @@ from tenclass import (
     search_nonneg_solution,
     standard_simplex,
 )
-from tenclass.subdivision import _min_search, _replace_vertex
+from tenclass import subdivision
+from tenclass.subdivision import _halve
+from tenclass.verify import _gen_almost_e0, _gen_z
+from _oracles import best_first_search
 
 
 def random_sub_simplex(rng, dim, splits):
@@ -152,11 +155,9 @@ class TestCoefficients:
             c = component_coeffs(A, S)
             a, b = S.longest_edge()
             c1, c2 = refine(S)
-            axes = tuple(range(1, m))
-            assert np.allclose(_replace_vertex(c, axes, b, a),
-                               component_coeffs(A, c1), atol=1e-12)
-            assert np.allclose(_replace_vertex(c, axes, a, b),
-                               component_coeffs(A, c2), atol=1e-12)
+            halves = _halve(c[None], tuple(range(1, m)), np.array([a]), np.array([b]))
+            assert np.allclose(halves[0], component_coeffs(A, c1), atol=1e-12)
+            assert np.allclose(halves[1], component_coeffs(A, c2), atol=1e-12)
 
     def test_children_bounds_monotone(self, rng):
         # splitting can only tighten the scalar form bound
@@ -344,16 +345,22 @@ class TestOverflow:
         v = SEARCHES[search](self.HUGE, True, max_depth=6)
         assert (v.status, v.info) == (INCONCLUSIVE, {"limit": "max_depth"})
 
-    def test_nan_child_is_searched_before_a_certified_sibling(self):
-        # root bound -1; the first child clears, the second overflowed: popping
-        # the cleared child first would certify the uncertified NaN leaf
-        bounds = iter([-1.0, 1.0])
-        A = Tensor.identity(2, 2)
-        v = _min_search(A, A.data, (0, 1), lambda c: next(bounds, math.nan),
-                        lambda points: np.ones(len(points)), lambda y: 1.0,
-                        strict=False, tol=1e-9, floor=0.0, polish=lambda y: y,
-                        epsilon=1e-9, max_depth=4, max_nodes=100)
-        assert (v.status, v.info) == (INCONCLUSIVE, {"limit": "max_depth"})
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_candidates_are_valued_at_their_points(self):
+        # the root's coefficients overflow to +-inf, but the centroid maps to 0
+        v = SEARCHES["component"](self.HUGE, False)
+        assert (v.status, v.nodes) == (FAILS, 1)
+        assert np.array_equal(v.witness, [0.5, 0.5])
+
+    def test_nan_child_is_searched_before_a_certified_sibling(self, monkeypatch):
+        # root bound -1; the first child clears, the second overflowed:
+        # certifying the level once a sibling clears would certify the NaN leaf
+        bounds = iter([[-1.0], [1.0, math.nan]])
+        monkeypatch.setattr(subdivision, "_leaf_bounds",
+                            lambda G: np.array(next(bounds, [math.nan] * len(G))))
+        v = decide_form_nonneg(Tensor.identity(2, 2), False, max_depth=4)
+        # the NaN leaf and its descendants are bisected down to the depth cap
+        assert (v.status, v.nodes, v.info) == (INCONCLUSIVE, 17, {"limit": "max_depth"})
 
 
 class TestVerdict:
@@ -415,3 +422,60 @@ class TestGridAgreement:
                     grid_says_exists = bool(np.any(g >= -eps_abs))
                 assert v.decisive
                 assert (v.status == HOLDS) == grid_says_exists
+
+
+def _order_inputs(m, n):
+    """Seeded tensors at one shape: uniform entries, a shifted copy, a dominant
+    diagonal and, from dim 2 on, an almost semi-positive draw and a Z-tensor
+    just outside E (both fail away from the vertices)."""
+    rng = np.random.default_rng([m, n])
+    noise = rng.uniform(-1.0, 1.0, (n,) * m)
+    diagonal = Tensor.identity(m, n).data
+    out = [Tensor(noise), Tensor(noise + 0.6), Tensor(0.5 * noise + (n - 0.5) * diagonal)]
+    if n > 1:
+        out.append(_gen_almost_e0(rng, m, n, None)[0])
+        out.append(_gen_z(rng, m, n, 0.98)[0])
+    return out
+
+
+class TestLevelOrder:
+    """The level loop against the best-first heap loop it replaced.
+
+    A certificate refines the same leaves in any order, so every search that
+    ends certified (a component or form Holds, a feasibility Fails) must equal
+    the oracle's verdict field for field.  The polish order within a level can
+    move the witness, nodes or depth of a search that ends on a witness, and
+    the depth of one that ends on the node budget, but never a status or a
+    limit; the test prints those differences.
+    """
+
+    CASES = [(m, n) for m in (2, 3, 4) for n in range(1, 6)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m, n", CASES)
+    def test_verdicts_equal_the_best_first_search(self, m, n, monkeypatch):
+        differ = []
+        for A in _order_inputs(m, n):
+            for name, search in sorted(SEARCHES.items()):
+                for strict in (True, False):
+                    for max_depth, max_nodes in ((40, 200_000), (5, 200_000), (40, 41)):
+                        args = (A, strict, 1e-9, max_depth)
+                        level = search(*args, max_nodes=max_nodes)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(subdivision, "_min_search", best_first_search)
+                            heap = search(*args, max_nodes=max_nodes)
+                        case = (name, strict, max_depth, max_nodes, level.status)
+                        assert (level.status, level.info.get("limit")) == \
+                            (heap.status, heap.info.get("limit")), case
+                        if level.status == HOLDS and name != "feasibility" \
+                                or level.status == FAILS and name == "feasibility":
+                            assert level.to_json() == heap.to_json(), case
+                        else:
+                            ours, theirs = level.to_json(), heap.to_json()
+                            fields = [k for k in theirs if ours.get(k) != theirs[k]]
+                            if fields:
+                                differ.append((case, fields, heap.nodes, level.nodes))
+        # the searches that ended on a witness, or on the node budget, elsewhere
+        print(f"\n({m}, {n}): {len(differ)} verdicts differ from best-first:")
+        for case, fields, heap_nodes, level_nodes in differ:
+            print(f"  {case}: {fields}, nodes {heap_nodes} -> {level_nodes}")
