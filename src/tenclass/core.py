@@ -121,13 +121,17 @@ class Tensor:
     def from_coo(cls, order: int, dim: int, entries) -> "Tensor":
         """Build a tensor from ``[(index_tuple, value), ...]``; missing entries are 0.
 
-        Duplicate index tuples are rejected so that fixture files stay unambiguous.
+        Duplicate index tuples, and index components that are not integers
+        (a float, string or bool), are rejected so that fixture files stay
+        unambiguous.
         """
         if order < 1 or dim < 1:
             raise ValueError("order and dim must be positive")
         data = np.zeros((dim,) * order)
         seen = set()
         for idx, value in entries:
+            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+                raise ValueError(f"index {list(idx)} has a non-integer component")
             idx = tuple(int(i) for i in idx)
             if len(idx) != order:
                 raise ValueError(f"index {idx} has {len(idx)} components, expected {order}")

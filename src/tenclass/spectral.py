@@ -1,12 +1,13 @@
 """Spectral radius of nonnegative tensors and constrained eigenpair search.
 
-The radius routine is a cone-preserving power iteration: at a positive vector
-``x`` the quotients ``(B x^{m-1})_i / x_i^{m-1}`` sandwich the spectral radius
-of a nonnegative tensor, so each iterate yields a certified enclosure that the
-iteration tightens.  The eigenpair routine minimizes the homogeneous form of a
-symmetric tensor over ``{x >= 0, sum x_i^m = 1}``; an interior stationary
-point solves ``A x^{m-1} = lambda x^{[m-1]}`` with a strictly positive
-eigenvector, which is exactly the eigenpair the almost-class theory needs.
+The radius routine splits a nonnegative tensor into invariant blocks, whose
+largest radius is the tensor's, and runs a shifted power iteration on each
+weakly irreducible one: at a positive ``x`` the quotients
+``(B x^{m-1})_i / x_i^{m-1}`` sandwich the block's radius, so each iterate
+yields a certified enclosure.  The eigenpair routine minimizes the
+homogeneous form of a symmetric tensor over ``{x >= 0, sum x_i^m = 1}``; an
+interior stationary point solves ``A x^{m-1} = lambda x^{[m-1]}`` with a
+strictly positive eigenvector, as the almost-class theory needs.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class RadiusEnclosure:
         }
 
 
-_ETAS = (0.0, 1e-10, 1e-8)
 RHO_TOL = 1e-12
 RHO_MAX_ITER = 3000
 
@@ -91,61 +91,58 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
                            max_iter: int = RHO_MAX_ITER) -> RadiusEnclosure:
     """Enclose the spectral radius of an entrywise nonnegative tensor.
 
-    Iterates ``x <- normalize(apply(B, x) ** (1/(m-1)))`` from the all-ones
-    start.  Both enclosure sides come from the quotient sandwich at the
-    current positive iterate, so they are valid at every step; reducible
-    tensors, whose plain iteration can leave the open cone, are steered by
-    re-running on ``B`` inflated with a small multiple of the all-ones tensor
-    (the enclosure still brackets the radius of ``B`` itself).  ``tol`` is
-    the enclosure width relative to its upper end.
+    Index ``i`` reaches ``j`` when a positive entry of row ``i`` has ``j`` among
+    its other indices.  The closed reach ``I`` of the index that reaches the
+    fewest is invariant, so ``rho(B) = max(rho(B_I), rho(B_rest))``; blocks are
+    split until each has dim 1, where the radius is the entry, or is weakly
+    irreducible.  There ``x <- normalize((B x^{m-1} + s x^{[m-1]}) ** (1/(m-1)))``,
+    with ``s`` the block's largest entry, converges from the all-ones start, and
+    the quotients ``(B x^{m-1})_i / x_i^{m-1}`` at each iterate sandwich the
+    block's radius.  ``tol`` is the width relative to the upper end;
+    ``max_iter`` caps all blocks' iterations together (each iterating block
+    makes at least one).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if B.order < 2:
         raise ValueError(f"order {B.order} tensor: the spectral radius needs order >= 2")
-    data = B.data
-    if np.any(data < 0):
-        idx = np.argwhere(data < 0)[0]
+    if np.any(B.data < 0):
+        idx = np.argwhere(B.data < 0)[0]
         raise ValueError(f"negative entry at index {tuple(int(i) for i in idx)}")
-    if not np.any(data):
-        return RadiusEnclosure(0.0, 0.0, 0)
 
-    n = B.dim
-    m = B.order
-    power = m - 1
-    lower = 0.0
-    upper = np.inf
-    iters = 0
-    stage_iters = max(50, max_iter // len(_ETAS))
-    inflate = tolerance(B, 1.0)  # the inflation is relative to B's largest entry
-
-    for eta in _ETAS:
-        x = np.full(n, 1.0 / n)
-        stalled = 0
-        for _ in range(stage_iters):
-            u = apply(B, x)
-            xm = x ** power
-            q = u / xm
-            gain = max(float(q.min()) - lower, upper - float(q.max()))
-            lower = max(lower, float(q.min()))
-            upper = min(upper, float(q.max()))
-            iters += 1
-            if upper - lower <= tol * upper:
-                return RadiusEnclosure(lower, upper, iters)
-            # reducible inputs pin one side of the quotient sandwich; give up
-            # on the stage once the enclosure stops moving
-            stalled = stalled + 1 if gain <= 1e-3 * tol * upper else 0
-            if stalled >= 50:
-                break
-            u_eta = u + eta * inflate * (x.sum() ** power)
-            if np.any(u_eta <= 0.0):
-                break  # left the open cone; retry with a larger inflation
-            y = u_eta ** (1.0 / power)
-            x = y / y.sum()
-        if iters >= max_iter:
-            break
-
-    return RadiusEnclosure(lower, upper, iters, converged=False)
+    power = B.order - 1
+    lower, upper, iters = 0.0, 0.0, 0
+    stack = [np.arange(B.dim)]
+    while stack:
+        J = stack.pop()
+        block = Tensor(B.data[np.ix_(*[J] * B.order)])
+        reach = np.eye(len(J), dtype=bool)
+        rows, *others = np.nonzero(block.data)
+        for cols in others:
+            reach[rows, cols] = True
+        for _ in range(len(J).bit_length()):  # transitive closure by squaring
+            reach = (reach.astype(np.int64) @ reach) > 0
+        if not reach.all():
+            invariant = reach[np.argmin(reach.sum(axis=1))]
+            stack += [J[~invariant], J[invariant]]
+            continue
+        if len(J) == 1:
+            lo = hi = float(block.data.flat[0])
+        else:
+            shift = float(block.data.max())
+            lo, hi, x = 0.0, np.inf, np.full(len(J), 1.0 / len(J))
+            while True:
+                u = apply(block, x)
+                xm = x ** power
+                q = u / xm
+                lo, hi = max(lo, float(q.min())), min(hi, float(q.max()))
+                iters += 1
+                if hi - lo <= tol * hi or iters >= max_iter:
+                    break
+                y = (u + shift * xm) ** (1.0 / power)
+                x = y / y.sum()
+        lower, upper = max(lower, lo), max(upper, hi)
+    return RadiusEnclosure(lower, upper, iters, converged=upper - lower <= tol * upper)
 
 
 def residual(A: Tensor, pair: EigenPair) -> float:

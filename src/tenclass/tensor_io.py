@@ -38,11 +38,9 @@ def parse_tensor(obj) -> Tensor:
     """Build a :class:`Tensor` from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise TensorFormatError("tensor document must be a JSON object")
-    try:
-        order = int(obj["order"])
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TensorFormatError("missing or malformed 'order'/'dim'") from exc
+    order, dim = obj.get("order"), obj.get("dim")
+    if type(order) is not int or type(dim) is not int:  # no float, string or bool
+        raise TensorFormatError("missing or malformed 'order'/'dim'")
     if order < 2:
         raise TensorFormatError("'order' must be at least 2")
     if dim < 1:

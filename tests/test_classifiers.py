@@ -132,6 +132,16 @@ class TestMTensor:
         A = Tensor(0.5 * rho * Tensor.identity(m, n).data - np.ones((n,) * m))
         assert is_m_tensor(A, strong=False).status == FAILS
 
+    def test_zero_radius_small_t_is_strong_m(self):
+        # rho(B) = 0 exactly, so any t > tol makes t I - B a strong M-tensor
+        B = Tensor.from_coo(3, 2, [((0, 0, 1), 0.7203811664111007),
+                                   ((0, 1, 0), 0.6346140062618605)])
+        A = Tensor(1e-5 * Tensor.identity(3, 2).data - B.data)
+        for strong in (False, True):
+            v = is_m_tensor(A, strong=strong)
+            assert v.holds
+            assert (v.info["rho_lower"], v.info["rho_upper"]) == (0.0, 0.0)
+
     def test_non_z_fails_with_reason(self, hadamard_pair):
         _, B = hadamard_pair
         v = is_m_tensor(B)

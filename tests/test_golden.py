@@ -22,13 +22,24 @@ def fixture_reports() -> str:
     return canonical_dumps(reports, indent=2) + "\n"
 
 
+def moved_fields(want, got, path=""):
+    """Yield ``path: old -> new`` for every JSON path whose value differs."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            yield from moved_fields(want.get(key, "<absent>"), got.get(key, "<absent>"),
+                                    f"{path}/{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            yield from moved_fields(w, g, f"{path}/{i}")
+    elif want != got:
+        yield f"{path}: {want!r} -> {got!r}"
+
+
 def test_fixture_reports_match_golden():
     text = fixture_reports()
     golden = GOLDEN.read_text(encoding="utf-8")
-    got, want = json.loads(text), json.loads(golden)
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name] == want[name], name
+    moved = list(moved_fields(json.loads(golden), json.loads(text)))
+    assert not moved, f"{len(moved)} moved fields:\n" + "\n".join(moved)
     assert text == golden
 
 

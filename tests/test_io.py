@@ -65,6 +65,22 @@ def test_parse_rejects_missing_header():
         parse_tensor({"dim": 2})
 
 
+@pytest.mark.parametrize("header,index", [
+    ({"order": 2.7, "dim": 2}, [0, 1]),
+    ({"order": 3, "dim": 2.0}, [0, 1, 0]),
+    ({"order": "3", "dim": 2}, [0, 1, 0]),
+    ({"order": 3, "dim": True}, [0, 0, 0]),
+    ({"order": 3, "dim": 2}, [0, 1.5, 0]),
+    ({"order": 3, "dim": 2}, [0, "1", 0]),
+    ({"order": 3, "dim": 2}, [0, True, 0]),
+], ids=["float-order", "float-dim", "string-order", "bool-dim",
+        "float-index", "string-index", "bool-index"])
+def test_parse_rejects_non_integer_fields(header, index):
+    # int() would truncate each of these into a different tensor
+    with pytest.raises(TensorFormatError):
+        parse_tensor({**header, "format": "coo", "entries": [[index, 1.0]]})
+
+
 def test_save_load_roundtrip(tmp_path, dim3_tensor):
     path = tmp_path / "t.json"
     save_tensor(dim3_tensor, path)
