@@ -33,6 +33,8 @@ from .core import (
     principal_subtensor,
     row_subtensor,
     tolerance,
+    unit_scale,
+    unscale,
 )
 from .subdivision import (
     DEFAULT_EPSILON,
@@ -158,16 +160,16 @@ def z_decompose(A: Tensor) -> ZDecomposition:
 
 def is_diag_dominant(A: Tensor, strict: bool = False) -> Verdict:
     """``|a[i..i]| >= sum of |off-diagonal row entries|`` for every row (``>`` if strict)."""
+    A, e = unit_scale(A)
     d = np.abs(diag(A))
     off = np.abs(A.data)
-    # a row sum that includes the diagonal can overflow where the slack is finite
     off[(np.arange(A.dim),) * A.order] = 0.0
     slack = d - off.reshape(A.dim, -1).sum(axis=1)
     bad = np.nonzero(falls_short(slack, tolerance(A, 1e-12), strict))[0]
     if bad.size:
         row = int(bad[0])
-        return Verdict(FAILS, None, 0.0, 0, 0, float(slack[row]), {"row": row})
-    return Verdict(HOLDS, None, 0.0, 0, 0, float(slack.min()))
+        return Verdict(FAILS, None, 0.0, 0, 0, unscale(float(slack[row]), e), {"row": row})
+    return Verdict(HOLDS, None, 0.0, 0, 0, unscale(float(slack.min()), e))
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,9 @@ class EntryConditions:
 def entry_conditions(A: Tensor) -> EntryConditions:
     """Evaluate the entry-sign conditions (used as a fast rejection filter).
 
-    Both variants are always reported; ``satisfied`` picks one.
+    Both variants are always reported; ``satisfied`` picks one.  A drop is at
+    most its diagonal entry, so one past the float range is -inf, whose sign
+    is all ``satisfied`` reads.
     """
     d = diag(A)
     drops = []
@@ -200,7 +204,8 @@ def entry_conditions(A: Tensor) -> EntryConditions:
     for k in range(A.dim):
         row = A.data[k].copy()
         row[tuple(p[k] for p in diag_pos)] = 0.0  # ignore the diagonal entry itself
-        drops.append(float(d[k] + row[row < 0.0].sum()))
+        with np.errstate(over="ignore"):
+            drops.append(float(d[k] + row[row < 0.0].sum()))
     return EntryConditions(tuple(float(v) for v in d), tuple(drops))
 
 
@@ -325,19 +330,19 @@ class TensorClassifier:
         it Holds, the verdict Fails with ``{"reason": almost}``.  Else the
         verdict is Inconclusive, listing the undecided subsets, or Holds with the
         full set's witness and info.  Whatever the status, ``worst_bound`` is the
-        least root bound among the subsets scanned, undecided ones included.
+        least root bound among the subsets scanned, undecided ones included, and
+        None when one of those does not fit in a float.
         """
         n = self.tensor.dim
         eps = self.config.epsilon
         nodes = depth = 0
-        worst = None
+        worst = np.inf  # None once a scanned bound does not fit in a float
         pending = []
         for J in _nonempty_subsets(n):
             v = decide(J)
             nodes += v.nodes
             depth = max(depth, v.depth)
-            if v.worst_bound is not None:
-                worst = v.worst_bound if worst is None else min(worst, v.worst_bound)
+            worst = None if None in (worst, v.worst_bound) else min(worst, v.worst_bound)
             if v.status == INCONCLUSIVE:
                 pending.append(J)
             elif almost and J == self._full:
@@ -400,15 +405,16 @@ class TensorClassifier:
         return self._completely(False)
 
     def is_m_tensor(self, strong: bool = False) -> Verdict:
+        A, e = unit_scale(self.tensor)
         try:
-            dec = z_decompose(self.tensor)
+            dec = z_decompose(A)
         except NotZTensorError as exc:
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "not_a_z_tensor", "detail": str(exc)})
         enc = spectral.spectral_radius_nonneg(dec.B)
-        tol = tolerance(self.tensor, self.config.epsilon)
-        info = {"t": dec.t, "rho_lower": enc.lower, "rho_upper": enc.upper,
-                "rho_converged": enc.converged}
+        tol = tolerance(A, self.config.epsilon)
+        info = {"t": unscale(dec.t, e), "rho_lower": unscale(enc.lower, e),
+                "rho_upper": unscale(enc.upper, e), "rho_converged": enc.converged}
         # M asks t - rho >= 0, strong M t - rho > 0, with t - rho somewhere in
         # [t - upper, t - lower]; strong M fails within tol, as E does
         holds = clears(dec.t - enc.upper, tol, strong)

@@ -1,8 +1,9 @@
 """Command-line front end: classify tensors, run spectral routines, verify suites.
 
 Exit codes: 0 for a fully decisive run, 2 when some verdict is Inconclusive
-(or a fixture label mismatches), 1 for parse or validation errors or a
-non-finite value in a classify report (no report is emitted in that case).
+(or a fixture label mismatches), 1 for parse or validation errors (no report
+is emitted then).  A classify report holding a non-finite value would be
+such an error; a value that does not fit in a float is reported as null.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _cmd_classify(args) -> int:
     try:
         A = load_tensor(args.file)
         report = classify(A, _config(args))
-        # a non-finite bound cannot be serialized; _emit writes nothing then
+        # a non-finite value cannot be serialized; _emit writes nothing then
         _emit(report.to_json(), args.out)
     except (TensorFormatError, SubsetCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -66,8 +67,7 @@ def _cmd_spectral(args) -> int:
             undecided = not enc.converged
         else:
             pair = find_negative_hpp_eigenpair(
-                A, tol=max(args.epsilon, 1e-14), restarts=args.restarts,
-                nonpositive=args.nonpositive, seed=args.seed)
+                A, tol=max(args.epsilon, 1e-14), nonpositive=args.nonpositive)
             doc["eigenpair"] = None if pair is None else pair.to_json()
             undecided = pair is None
     except ValueError as exc:
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
                         dest="subset_cap",
                         help="largest dimension for exact subset enumeration")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for verify, gen and spectral --eigenpair")
+                        help="seed for verify and gen")
     parser.add_argument("--out", type=str, default=None, help="write the report here")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -169,7 +169,6 @@ def main(argv=None) -> int:
                             "(symmetric tensors)")
     p.add_argument("--nonpositive", action="store_true",
                    help="accept nonpositive eigenvalues too")
-    p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("verify", help="run a theorem property suite (or all)")

@@ -7,6 +7,7 @@ diagonal scalings.  All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
+import math
 import string
 from functools import lru_cache
 
@@ -36,6 +37,8 @@ __all__ = [
     "is_positive",
     "max_abs",
     "tolerance",
+    "unit_scale",
+    "unscale",
     "falls_short",
     "clears",
 ]
@@ -130,9 +133,7 @@ class Tensor:
         data = np.zeros((dim,) * order)
         seen = set()
         for idx, value in entries:
-            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
-                raise ValueError(f"index {list(idx)} has a non-integer component")
-            idx = tuple(int(i) for i in idx)
+            idx = _integers(idx)
             if len(idx) != order:
                 raise ValueError(f"index {idx} has {len(idx)} components, expected {order}")
             if any(i < 0 or i >= dim for i in idx):
@@ -156,9 +157,17 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _integers(idx) -> tuple[int, ...]:
+    """``idx`` as ints; a float, string or bool component is rejected, never truncated."""
+    idx = tuple(idx)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+        raise ValueError(f"index {list(idx)} has a non-integer component")
+    return tuple(int(i) for i in idx)
+
+
 def as_index_set(J, dim: int) -> tuple[int, ...]:
     """Normalize an index set to a sorted tuple of distinct in-range indices."""
-    idx = tuple(sorted(int(i) for i in J))
+    idx = tuple(sorted(_integers(J)))
     if not idx:
         raise ValueError("index set must be nonempty")
     if len(set(idx)) != len(idx):
@@ -346,6 +355,7 @@ def symmetrize(A: Tensor) -> Tensor:
 
 def is_symmetric(A: Tensor) -> bool:
     """True when the entries are invariant under every index permutation."""
+    A, _ = unit_scale(A)
     gap = float(np.max(np.abs(A.data - symmetrize(A).data)))
     return gap <= tolerance(A, 1e-12)
 
@@ -366,6 +376,28 @@ def tolerance(A: Tensor, rel: float) -> float:
     """The slack of every decision and stopping test: ``rel`` times the largest
     absolute entry (1 for the zero tensor), so units never move a status."""
     return rel * (max_abs(A) or 1.0)
+
+
+def unit_scale(A: Tensor) -> tuple[Tensor, int]:
+    """``A * 2**-e`` and ``e``, with ``e`` chosen so the largest absolute entry
+    lies in [1/2, 1) (``e = 0`` for the zero tensor).
+
+    Every class is a cone and scaling by a power of two is exact in binary
+    floating point (an entry it pushes below the normal range is rounded, but
+    lies below every tolerance), so a decision made on the copy is the
+    decision on ``A``; and no convex combination of its entries can overflow.
+    """
+    e = math.frexp(max_abs(A))[1]
+    return (A if e == 0 else Tensor(np.ldexp(A.data, -e))), e
+
+
+def unscale(x: float | None, e: int) -> float | None:
+    """A unit-scale number ``x`` back in the units of ``A``: ``x * 2**e``, or
+    None where that does not fit in a float."""
+    try:
+        return None if x is None else math.ldexp(x, e)
+    except OverflowError:
+        return None
 
 
 def falls_short(q, tol: float, strict: bool):

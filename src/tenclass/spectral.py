@@ -63,7 +63,9 @@ class RadiusEnclosure:
     converged: bool = True
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12 or self.lower < -1e-12:
+        # the quotients of a nonnegative tensor are >= 0; rounding may lift the
+        # lower end past the upper one only by a slack relative to the upper
+        if not 0.0 <= self.lower <= self.upper + 1e-12 * self.upper:
             raise ValueError(f"invalid enclosure [{self.lower}, {self.upper}]")
 
     @property
@@ -189,17 +191,16 @@ def _newton_polish(A: Tensor, x: np.ndarray, lam: float, iters: int = 12):
 def find_negative_hpp_eigenpair(
     A: Tensor,
     tol: float = 1e-10,
-    restarts: int = 8,
     *,
     nonpositive: bool = False,
-    seed: int = 0,
 ) -> EigenPair | None:
     """Search for an H-eigenpair with strictly positive eigenvector and ``lambda < -tol``
     (``lambda <= tol`` when ``nonpositive`` is set); ``tol`` is absolute for
     ``lambda`` and relative to the largest absolute entry for the residual.
 
-    Projected-gradient multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``
-    with Armijo backtracking (at most 400 steps per start), followed by a Newton
+    Projected-gradient multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``,
+    from the all-ones vector and 8 fixed draws of ``default_rng(0)``, with
+    Armijo backtracking (at most 400 steps per start), followed by a Newton
     polish of the stationarity system; an eigenvector with a coordinate below
     ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
     search found nothing; it is never a certificate of nonexistence.
@@ -210,11 +211,7 @@ def find_negative_hpp_eigenpair(
         raise ValueError("symmetric tensor required")
     n = A.dim
     m = A.order
-    rng = np.random.default_rng(seed)
-
-    starts = [np.full(n, 1.0)]
-    for _ in range(restarts):
-        starts.append(rng.uniform(0.1, 1.0, n))
+    starts = [np.full(n, 1.0), *np.random.default_rng(0).uniform(0.1, 1.0, (8, n))]
 
     found: list[EigenPair] = []
     for start in starts:

@@ -16,7 +16,9 @@ one a best-first search would reach.  It stops with a three-valued verdict:
 * ``Inconclusive`` -- the depth or node budget ran out.
 
 Strictness is handled through a declared margin ``epsilon``, measured on the
-coefficient scale normalized by the tensor's largest absolute entry.
+coefficient scale normalized by the tensor's largest absolute entry.  Each
+search runs on the tensor's unit-scale copy (``core.unit_scale``) and reports
+its bound and margins in the tensor's own units.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .core import (
     form_value,
     symmetrize,
     tolerance,
+    unit_scale,
+    unscale,
 )
 
 __all__ = [
@@ -137,6 +141,14 @@ class Verdict:
         if self.info:
             doc["info"] = {k: _jsonable(v) for k, v in sorted(self.info.items())}
         return doc
+
+
+def _in_units(v: Verdict, e: int) -> Verdict:
+    """``v``, decided on the unit-scale copy ``A * 2**-e``, with its bound and
+    margins in the units of ``A`` (None where one does not fit in a float)."""
+    info = {k: unscale(x, e) if k.endswith("_margin") else x for k, x in v.info.items()}
+    return Verdict(v.status, v.witness, v.epsilon, v.nodes, v.depth,
+                   unscale(v.worst_bound, e), info)
 
 
 def _jsonable(v):
@@ -479,6 +491,7 @@ def decide_all_components_negative(
     (``> 0`` when not ``strict``), so the class strictness is ``not strict``.
     """
     _check_params(epsilon, max_depth)
+    A, e = unit_scale(A)
     floor = interior_margin
     scale = tolerance(A, 1.0)
     tol, min_decrease = epsilon * scale, 1e-13 * scale
@@ -499,11 +512,11 @@ def decide_all_components_negative(
                 y = y2
         return y
 
-    return _min_search(
+    return _in_units(_min_search(
         A, _slot_symmetrized_rows(A), tuple(range(1, A.order)), lambda y: value_fn(y)[0],
         strict=not strict, tol=tol, floor=floor, polish=polish, epsilon=epsilon,
         max_depth=max_depth, max_nodes=max_nodes,
-    )
+    ), e)
 
 
 def decide_form_nonneg(
@@ -520,6 +533,7 @@ def decide_form_nonneg(
     carries a simplex witness with ``A x^m < -eps`` (strict: ``<= eps``).
     """
     _check_params(epsilon, max_depth)
+    A, e = unit_scale(A)
     sym = symmetrize(A)
     m = A.order
     min_decrease = tolerance(A, 1e-13)
@@ -528,11 +542,11 @@ def decide_form_nonneg(
         return _polish_descent(y, 0.0, lambda v: (form_value(A, v), None),
                                lambda v, _: m * apply(sym, v), min_decrease)[0]
 
-    return _min_search(
+    return _in_units(_min_search(
         A, sym.data, tuple(range(m)), lambda y: form_value(A, y),
         strict=strict, tol=tolerance(A, epsilon), floor=0.0, polish=polish,
         epsilon=epsilon, max_depth=max_depth, max_nodes=max_nodes,
-    )
+    ), e)
 
 
 def _leaf_bounds(G: np.ndarray) -> np.ndarray:
@@ -566,20 +580,18 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
     simplex.  ``root_coeffs`` bound it there: ``coeff_axes`` index vertices
     and any other axis (the component, in a component search) indexes rows,
     and a leaf's bound is its largest row minimum.  A leaf whose bound clears
-    is certified; every other leaf of a level (a NaN bound, from overflowed
-    coefficients, among them) is bisected at its longest edge in one set of
-    array operations.  A point that falls short, with no coordinate below
-    the ``floor``, is a witness; every verdict reports the root bound as
-    ``worst_bound``.
+    is certified; every other leaf of a level (a NaN bound among them) is
+    bisected at its longest edge in one set of array operations.  A point
+    that falls short, with no coordinate below the ``floor``, is a witness;
+    every verdict reports the root bound as ``worst_bound``.
 
     Whether a leaf is refined depends only on its own bound and its
     ancestors', never on the order, so a Holds refines the same leaves, and
     reports the same ``nodes`` and ``depth``, as a best-first search would.
     Polishing keeps the best-first order within a level: the leaves whose
-    best candidate (:func:`_candidate_values`, or ``point_value`` at the
-    points where overflowed coefficients give no finite value) beats the gate
-    are polished in bound order.  A search that ends on a witness may
-    therefore report other ``nodes`` or another witness than a best-first one.
+    best candidate (:func:`_candidate_values`) beats the gate are polished in
+    bound order.  A search that ends on a witness may therefore report other
+    ``nodes`` or another witness than a best-first one.
     """
     n = A.dim
     span = n ** len(coeff_axes)
@@ -611,24 +623,18 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
 
         values = _candidate_values(C.reshape(len(C), -1, span), n)
         best = values.min(axis=1)
-        for i in np.flatnonzero(~np.isfinite(best)):
-            # overflowed coefficients bound nothing: value the points themselves
-            values[i] = [point_value(y) for y in (V[i].mean(axis=0), *V[i])]
-            best[i] = values[i].min()
         starts = np.flatnonzero(best < polish_gate)
-        if starts.size:
-            key = bounds[starts]
-            for i in starts[np.argsort(np.where(np.isnan(key), -np.inf, key), kind="stable")]:
-                if not best[i] < polish_gate:
-                    continue
-                j = int(values[i].argmin())
-                y = polish(V[i].mean(axis=0) if j == 0 else V[i, j - 1])
-                ok, reached = witness_ok(y)
-                if ok:
-                    return fails(y)
-                # a failed polish stops at or above the edge (its points keep
-                # the floor), so later starts must beat the minimum it reached
-                polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
+        for i in starts[np.argsort(bounds[starts], kind="stable")]:
+            if not best[i] < polish_gate:
+                continue
+            j = int(values[i].argmin())
+            y = polish(V[i].mean(axis=0) if j == 0 else V[i, j - 1])
+            ok, reached = witness_ok(y)
+            if ok:
+                return fails(y)
+            # a failed polish stops at or above the edge (its points keep
+            # the floor), so later starts must beat the minimum it reached
+            polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
 
         if depth >= max_depth:
             return Verdict(INCONCLUSIVE, None, epsilon, nodes, depth, worst,
@@ -668,6 +674,7 @@ def search_nonneg_solution(
     component search on ``-A`` at floor 0 with Holds and Fails swapped; the
     solution is re-checked against ``A`` itself.
     """
+    A, e = unit_scale(A)
     v = decide_all_components_negative(
         Tensor(-A.data), strict, epsilon, max_depth, max_nodes=max_nodes,
         interior_margin=0.0,
@@ -680,8 +687,10 @@ def search_nonneg_solution(
         return clears(value, tol, strict), value
 
     if v.status == FAILS:
-        return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
-                                           nodes=v.nodes, depth=v.depth, worst_bound=worst)
-    if v.status == INCONCLUSIVE:
-        return Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
-    return Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})
+        out = Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
+                                          nodes=v.nodes, depth=v.depth, worst_bound=worst)
+    elif v.status == INCONCLUSIVE:
+        out = Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
+    else:
+        out = Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})
+    return _in_units(out, e)

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -535,3 +536,63 @@ class TestScaleInvariance:
     @given(A=quarter_grid_tensors(), k=st.integers(-60, 60))
     def test_statuses_invariant_under_power_of_two_scaling(self, A, k):
         assert _statuses(Tensor(A.data * 2.0 ** k)) == _statuses(A)
+
+
+# finite tensors whose unscaled sums overflow, or whose subnormal entries
+# lose their digits in unscaled arithmetic
+HUGE = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 1, 1), -1e308),
+                              ((1, 0, 0), -1e308), ((1, 1, 1), 1e308)])
+Z2 = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((1, 1, 1), -1e308), ((0, 1, 1), -1.0)])
+ROW_SUM = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 0, 1), 1e308),
+                                 ((0, 1, 0), 1e308), ((1, 1, 1), 1.0)])
+SUBNORMAL = Tensor.from_coo(4, 2, [((0, 0, 0, 0), 5e-324), ((1, 1, 1, 1), 1e-320),
+                                   ((0, 1, 1, 1), -3e-322)])
+DBL_MAX = sys.float_info.max
+
+
+@st.composite
+def full_range_tensors(draw):
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.sampled_from([0.0, DBL_MAX, -DBL_MAX, 5e-324, -5e-324]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    vals = draw(st.lists(entry, min_size=n ** m, max_size=n ** m))
+    return Tensor(np.array(vals).reshape((n,) * m))
+
+
+class TestEdgeMagnitudes:
+    """Every decision runs on its input scaled by a power of two."""
+
+    @pytest.mark.parametrize("A, k", [(HUGE, -1000), (SUBNORMAL, 1070)])
+    def test_statuses_equal_those_of_the_scaled_copy(self, A, k):
+        assert _statuses(A) == _statuses(Tensor(np.ldexp(A.data, k)))
+
+    def test_huge_entries(self):
+        # unscaled, the bisected coefficients average +inf and -inf into NaN
+        statuses = _statuses(HUGE)[0]
+        assert (statuses["E0"], statuses["S"], statuses["S0"]) == (HOLDS, FAILS, HOLDS)
+        assert classify(HUGE).verdicts["E0"].worst_bound == -1e308
+
+    def test_subnormal_entries(self):
+        # unscaled, the subnormal arithmetic refutes S and completely S
+        statuses = _statuses(SUBNORMAL)[0]
+        assert statuses["S"] == statuses["completelyS"] == statuses["E"] == HOLDS
+
+    @pytest.mark.parametrize("A", [Z2, ROW_SUM, Tensor(np.full((2, 2, 2), DBL_MAX)),
+                                   Tensor(np.full((2, 2, 2), -DBL_MAX))],
+                             ids=["z2", "row_sum", "max", "minus_max"])
+    def test_report_serializes(self, A):
+        _statuses(A)
+
+    def test_radius_past_the_float_range_is_null(self):
+        # rho(B) of Z2 is about 2.2e308: the enclosure does not fit in a float
+        v = classify(Z2).verdicts["M"]
+        assert v.status == FAILS
+        assert v.info["t"] == 1e308
+        assert v.info["rho_lower"] is None and v.info["rho_upper"] is None
+        assert v.to_json()["info"]["rho_upper"] is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=full_range_tensors())
+    def test_classify_serializes_on_the_whole_float_range(self, A):
+        canonical_dumps(classify(A).to_json())

@@ -1,9 +1,13 @@
 import json
+import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tenclass import Tensor, canonical_dumps, load_tensor, tensor_to_json
+from tenclass import Tensor, canonical_dumps, classify, load_tensor, tensor_to_json
+from tenclass import cli
 from tenclass.cli import main
 
 
@@ -67,15 +71,34 @@ class TestClassifyCommand:
             assert doc["verdicts"][name]["status"] == "Fails"
             assert doc["verdicts"][name]["info"] == {"reason": "dim_below_2"}
 
-    def test_unserializable_report_is_an_error(self, tmp_path, capsys):
-        # the root bounds of this finite tensor overflow to +-inf; the depth
-        # cap stops the searches its NaN leaf bounds would run to max_nodes
-        f = write_tensor(tmp_path / "huge.json", {
-            "order": 3, "dim": 2, "format": "coo",
-            "entries": [[[0, 0, 0], 1e308], [[0, 1, 1], -1e308],
-                        [[1, 0, 0], -1e308], [[1, 1, 1], 1e308]]})
+    def test_huge_entries_get_a_report(self, tmp_path):
+        # unscaled, the root bounds of this finite tensor overflow to +-inf
+        huge = [[[0, 0, 0], 1e308], [[0, 1, 1], -1e308], [[1, 0, 0], -1e308],
+                [[1, 1, 1], 1e308]]
+        statuses = []
+        for name, scale in (("huge", 0), ("small", -1000)):
+            f = write_tensor(tmp_path / f"{name}.json", {
+                "order": 3, "dim": 2, "format": "coo",
+                "entries": [[i, math.ldexp(v, scale)] for i, v in huge]})
+            out = tmp_path / f"{name}_report.json"
+            start = time.perf_counter()
+            assert main(["--out", str(out), "classify", f]) == 0
+            assert time.perf_counter() - start < 1.0
+            doc = json.loads(out.read_text())
+            statuses.append({k: v["status"] for k, v in doc["verdicts"].items()})
+        assert statuses[0] == statuses[1]
+
+    def test_unserializable_report_is_an_error(self, almost_e0_file, tmp_path, capsys,
+                                               monkeypatch):
+        # a report holding inf is written as no report at all
+        def with_inf(A, config):
+            report = classify(A, config)
+            report.verdicts["E0"] = replace(report.verdicts["E0"], worst_bound=math.inf)
+            return report
+
+        monkeypatch.setattr(cli, "classify", with_inf)
         out = tmp_path / "report.json"
-        assert main(["--out", str(out), "--max-depth", "4", "classify", f]) == 1
+        assert main(["--out", str(out), "classify", almost_e0_file]) == 1
         assert not out.exists()
         assert "error: cannot serialize non-finite float" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tenclass import (
     scale_rows,
     symmetrize,
 )
-from tenclass.core import clears, falls_short, tolerance
+from tenclass.core import clears, falls_short, max_abs, tolerance, unit_scale, unscale
 from _oracles import naive_apply, naive_form
 
 
@@ -157,6 +158,16 @@ class TestPrincipalSubtensor:
     def test_empty_rejected(self, dim3_tensor):
         with pytest.raises(ValueError, match="nonempty"):
             principal_subtensor(dim3_tensor, [])
+
+    @pytest.mark.parametrize("J", [[1.5], [True], ["1"], [0, 1.0], [np.float64(1.0)]])
+    def test_non_integer_index_rejected(self, dim3_tensor, J):
+        # int() would truncate 1.5 and True to index 1
+        with pytest.raises(ValueError, match="non-integer component"):
+            principal_subtensor(dim3_tensor, J)
+
+    def test_numpy_integers_accepted(self, dim3_tensor):
+        J = np.array([0, 1])
+        assert principal_subtensor(dim3_tensor, J) == principal_subtensor(dim3_tensor, [0, 1])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), A=tensors())
@@ -336,6 +347,31 @@ class TestToleranceRule:
         for strict in (True, False):
             assert not clears(math.nan, 0.25, strict)
             assert not falls_short(math.nan, 0.25, strict)
+
+
+class TestUnitScale:
+    @pytest.mark.parametrize("top, e", [(1.0, 1), (0.75, 0), (-3.0, 2), (1e308, 1024),
+                                        (5e-324, -1073), (0.0, 0)])
+    def test_largest_entry_lands_in_half_open_unit(self, top, e):
+        A = Tensor.from_coo(3, 2, [((0, 0, 0), top), ((1, 0, 1), top / 3.0)])
+        U, got = unit_scale(A)
+        assert got == e
+        assert np.array_equal(U.data, np.ldexp(A.data, -e))
+        assert top == 0.0 or 0.5 <= max_abs(U) < 1.0
+
+    def test_unscale_gives_none_past_the_float_range(self):
+        assert unscale(0.75, 4) == 12.0
+        assert unscale(-0.75, -1080) == -0.0
+        assert unscale(None, 3) is None
+        assert unscale(1.0, 1024) is None
+        assert unscale(-0.75, 1025) is None
+
+    def test_symmetry_of_huge_entries(self):
+        # unscaled, three entries of 1e308 in one orbit sum past the float range
+        A = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 0, 1), 1e308),
+                                   ((0, 1, 0), 1e308), ((1, 1, 1), 1.0)])
+        assert not is_symmetric(A)
+        assert is_symmetric(Tensor(np.full((2, 2, 2), -sys.float_info.max)))
 
 
 class TestPredicatesAndSymmetry:

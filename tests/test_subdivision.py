@@ -333,27 +333,31 @@ class TestDimOne:
 
 
 class TestOverflow:
-    """A NaN leaf bound (overflowed coefficients) neither certifies nor refutes."""
+    """Each search runs on its unit-scale copy, where no coefficient overflows;
+    a NaN leaf bound still neither certifies nor refutes."""
 
-    # finite entries whose bisected coefficients overflow to NaN
+    # finite entries whose coefficients overflow on the unscaled tensor
     HUGE = Tensor.from_coo(3, 2, [((0, 0, 0), 1e308), ((0, 1, 1), -1e308),
                                   ((1, 0, 0), -1e308), ((1, 1, 1), 1e308)])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("search", ["component", "feasibility"])
-    def test_nan_leaves_leave_the_search_inconclusive(self, search):
+    def test_search_matches_its_scaled_copy(self, search):
         v = SEARCHES[search](self.HUGE, True, max_depth=6)
-        assert (v.status, v.info) == (INCONCLUSIVE, {"limit": "max_depth"})
+        w = SEARCHES[search](Tensor(np.ldexp(self.HUGE.data, -1000)), True, max_depth=6)
+        assert (v.status, v.nodes, v.depth, v.info) == (w.status, w.nodes, w.depth, w.info)
+        assert v.witness is None and w.witness is None
+        assert v.worst_bound == math.ldexp(w.worst_bound, 1000)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_candidates_are_valued_at_their_points(self):
-        # the root's coefficients overflow to +-inf, but the centroid maps to 0
+    def test_huge_root_is_refuted_at_its_centroid(self):
+        # the root's candidate values, read off its unit-scale coefficients,
+        # put the centroid at 0, where every component vanishes
         v = SEARCHES["component"](self.HUGE, False)
         assert (v.status, v.nodes) == (FAILS, 1)
         assert np.array_equal(v.witness, [0.5, 0.5])
+        assert (v.worst_bound, v.info) == (-1e308, {"witness_margin": 0.0})
 
     def test_nan_child_is_searched_before_a_certified_sibling(self, monkeypatch):
-        # root bound -1; the first child clears, the second overflowed:
+        # root bound -1; the first child clears, the second is NaN:
         # certifying the level once a sibling clears would certify the NaN leaf
         bounds = iter([[-1.0], [1.0, math.nan]])
         monkeypatch.setattr(subdivision, "_leaf_bounds",
