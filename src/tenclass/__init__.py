@@ -11,12 +11,9 @@ from .core import (
     Tensor,
     add,
     apply,
-    apply_batch,
     apply_jacobian,
     diag,
-    form_batch,
     form_value,
-    hadamard,
     is_nonneg,
     is_positive,
     is_symmetric,
@@ -56,6 +53,16 @@ from .classifiers import (
     stabilizing_diagonal,
     z_decompose,
 )
+from .reference import (
+    Simplex,
+    apply_batch,
+    component_coeffs,
+    form_batch,
+    form_coeffs,
+    hadamard,
+    refine,
+    standard_simplex,
+)
 from .spectral import (
     EigenPair,
     RadiusEnclosure,
@@ -67,16 +74,11 @@ from .subdivision import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    Simplex,
     Verdict,
     WitnessError,
-    component_coeffs,
     decide_all_components_negative,
     decide_form_nonneg,
-    form_coeffs,
-    refine,
     search_nonneg_solution,
-    standard_simplex,
 )
 from .tensor_io import (
     TensorFormatError,

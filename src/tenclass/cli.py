@@ -1,9 +1,10 @@
 """Command-line front end: classify tensors, run spectral routines, verify suites.
 
 Exit codes: 0 for a fully decisive run, 2 when some verdict is Inconclusive
-(or a fixture label mismatches), 1 for parse or validation errors (no report
-is emitted then).  A classify report holding a non-finite value would be
-such an error; a value that does not fit in a float is reported as null.
+(or a fixture label mismatches), 1 for an option, file, parse or validation
+error (no report is emitted then).  A report holding a non-finite value
+would be such an error; a value that does not fit in a float is reported as
+null.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classifiers import Config, SubsetCapError, classify
+from .classifiers import Config, classify
+from .core import unit_scale, unscale
 from .spectral import find_negative_hpp_eigenpair, spectral_radius_nonneg
-from .tensor_io import (
-    TensorFormatError,
-    canonical_dumps,
-    load_tensor,
-    save_tensor,
-)
+from .tensor_io import canonical_dumps, load_tensor, save_tensor
 from .verify import SUITES, GeneratorSpec, generate, run_all, run_fixtures, run_suite
 
 __all__ = ["main"]
@@ -33,64 +30,39 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config(args) -> Config:
-    return Config(
-        epsilon=args.epsilon,
-        max_depth=args.max_depth,
-        subset_cap=args.subset_cap,
-    )
-
-
-def _cmd_classify(args) -> int:
-    try:
-        A = load_tensor(args.file)
-        report = classify(A, _config(args))
-        # a non-finite value cannot be serialized; _emit writes nothing then
-        _emit(report.to_json(), args.out)
-    except (TensorFormatError, SubsetCapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_classify(args, config) -> int:
+    report = classify(load_tensor(args.file), config)
+    # a non-finite value cannot be serialized; _emit writes nothing then
+    _emit(report.to_json(), args.out)
     return 0 if report.all_decisive else 2
 
 
-def _cmd_spectral(args) -> int:
-    try:
-        A = load_tensor(args.file)
-    except (TensorFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    doc: dict = {}
-    try:
-        if args.radius:
-            enc = spectral_radius_nonneg(A, tol=max(args.epsilon, 1e-14))
-            doc["radius"] = enc.to_json()
-            undecided = not enc.converged
-        else:
-            pair = find_negative_hpp_eigenpair(
-                A, tol=max(args.epsilon, 1e-14), nonpositive=args.nonpositive)
-            doc["eigenpair"] = None if pair is None else pair.to_json()
-            undecided = pair is None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_spectral(args, config) -> int:
+    A = load_tensor(args.file)
+    tol = max(config.epsilon, 1e-14)
+    if args.radius:
+        # iterate on the unit-scale copy; an end past the float range is null
+        B, e = unit_scale(A)
+        enc = spectral_radius_nonneg(B, tol=tol)
+        doc = {"radius": {**enc.to_json(), "lower": unscale(enc.lower, e),
+                          "upper": unscale(enc.upper, e)}}
+        undecided = not enc.converged
+    else:
+        pair = find_negative_hpp_eigenpair(A, tol=tol, nonpositive=args.nonpositive)
+        doc = {"eigenpair": None if pair is None else pair.to_json()}
+        undecided = pair is None
     _emit(doc, args.out)
     return 2 if undecided else 0
 
 
-def _cmd_verify(args) -> int:
-    config = _config(args)
-    try:
-        if args.suite == "all":
-            report = run_all(seed=args.seed, count=args.count, config=config)
-            found = [(name, v) for name, sub in report["suites"].items()
-                     for v in sub["violations"]]
-        else:
-            report = run_suite(args.suite, seed=args.seed, count=args.count,
-                               config=config)
-            found = [(args.suite, v) for v in report["violations"]]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_verify(args, config) -> int:
+    if args.suite == "all":
+        report = run_all(seed=args.seed, count=args.count, config=config)
+        found = [(name, v) for name, sub in report["suites"].items()
+                 for v in sub["violations"]]
+    else:
+        report = run_suite(args.suite, seed=args.seed, count=args.count, config=config)
+        found = [(args.suite, v) for v in report["violations"]]
     _emit(report, args.out)
     if found:
         _dump_violations(found, args.out)
@@ -114,20 +86,16 @@ def _dump_violations(found, out: str | None) -> None:
         path.write_text(canonical_dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _cmd_fixtures(args) -> int:
-    report = run_fixtures(_config(args))
+def _cmd_fixtures(args, config) -> int:
+    report = run_fixtures(config)
     _emit(report, args.out)
     return 0 if report["passed"] else 2
 
 
-def _cmd_gen(args) -> int:
-    try:
-        spec = GeneratorSpec(kind=args.kind, order=args.order, dim=args.dim,
-                             count=args.count, seed=args.seed, factor=args.factor)
-        tensors = generate(spec, _config(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_gen(args, config) -> int:
+    spec = GeneratorSpec(kind=args.kind, order=args.order, dim=args.dim,
+                         count=args.count, seed=args.seed, factor=args.factor)
+    tensors = generate(spec, config)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, A in enumerate(tensors):
@@ -190,7 +158,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_gen)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args, Config(args.epsilon, args.max_depth, args.subset_cap))
+    except (ValueError, OSError) as exc:
+        # every usage error (a bad option, file, tensor or report) ends here
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,13 +18,10 @@ __all__ = [
     "as_vector",
     "as_index_set",
     "apply",
-    "apply_batch",
     "apply_jacobian",
     "form_value",
-    "form_batch",
     "principal_subtensor",
     "row_subtensor",
-    "hadamard",
     "add",
     "scale",
     "permute",
@@ -181,23 +178,15 @@ _LETTERS = string.ascii_lowercase
 
 
 @lru_cache(maxsize=None)
-def _apply_subscripts(order: int, batch: bool) -> str:
+def _apply_subscripts(order: int) -> str:
     modes = _LETTERS[: order - 1]
-    if batch:
-        ins = ["z" + modes] + ["t" + c for c in modes]
-        return ",".join(ins) + "->tz"
-    ins = ["z" + modes] + list(modes)
-    return ",".join(ins) + "->z"
+    return ",".join(["z" + modes] + list(modes)) + "->z"
 
 
 @lru_cache(maxsize=None)
-def _form_subscripts(order: int, batch: bool) -> str:
+def _form_subscripts(order: int) -> str:
     modes = _LETTERS[:order]
-    if batch:
-        ins = [modes] + ["t" + c for c in modes]
-        return ",".join(ins) + "->t"
-    ins = [modes] + list(modes)
-    return ",".join(ins) + "->"
+    return ",".join([modes] + list(modes)) + "->"
 
 
 @lru_cache(maxsize=None)
@@ -210,13 +199,6 @@ def _jacobian_subscripts(order: int) -> tuple[str, ...]:
     )
 
 
-def _as_batch(A: Tensor, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != A.dim:
-        raise ValueError(f"expected shape (k, {A.dim}), got {X.shape}")
-    return X
-
-
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract ``A`` with ``m - 1`` copies of ``x``.
 
@@ -227,16 +209,7 @@ def apply(A: Tensor, x) -> np.ndarray:
     m = A.order
     if m == 1:
         return A.data.copy()
-    return np.einsum(_apply_subscripts(m, False), A.data, *(x,) * (m - 1))
-
-
-def apply_batch(A: Tensor, X) -> np.ndarray:
-    """Vectorized :func:`apply` over the rows of ``X`` (shape ``(k, n)``)."""
-    X = _as_batch(A, X)
-    m = A.order
-    if m == 1:
-        return np.broadcast_to(A.data, X.shape).copy()
-    return np.einsum(_apply_subscripts(m, True), A.data, *(X,) * (m - 1), optimize=True)
+    return np.einsum(_apply_subscripts(m), A.data, *(x,) * (m - 1))
 
 
 def apply_jacobian(A: Tensor, x) -> np.ndarray:
@@ -256,13 +229,7 @@ def form_value(A: Tensor, x) -> float:
     """Value of the degree-``m`` homogeneous form ``sum a[i1..im] x[i1]...x[im]``."""
     x = as_vector(x, A.dim)
     m = A.order
-    return float(np.einsum(_form_subscripts(m, False), A.data, *(x,) * m))
-
-
-def form_batch(A: Tensor, X) -> np.ndarray:
-    """Vectorized :func:`form_value` over the rows of ``X``."""
-    X = _as_batch(A, X)
-    return np.einsum(_form_subscripts(A.order, True), A.data, *(X,) * A.order, optimize=True)
+    return float(np.einsum(_form_subscripts(m), A.data, *(x,) * m))
 
 
 def principal_subtensor(A: Tensor, J) -> Tensor:
@@ -280,12 +247,6 @@ def row_subtensor(A: Tensor, i: int) -> Tensor:
     if A.order < 2:
         raise ValueError("row subtensor needs order at least 2")
     return Tensor(A.data[i])
-
-
-def hadamard(A: Tensor, B: Tensor) -> Tensor:
-    """Entrywise product."""
-    _same_shape(A, B)
-    return Tensor(A.data * B.data)
 
 
 def add(A: Tensor, B: Tensor) -> Tensor:

@@ -25,6 +25,8 @@ from .core import (
     form_value,
     is_symmetric,
     tolerance,
+    unit_scale,
+    unscale,
 )
 from .subdivision import INTERIOR_MARGIN
 
@@ -203,12 +205,15 @@ def find_negative_hpp_eigenpair(
     Armijo backtracking (at most 400 steps per start), followed by a Newton
     polish of the stationarity system; an eigenvector with a coordinate below
     ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
-    search found nothing; it is never a certificate of nonexistence.
+    search found nothing; it is never a certificate of nonexistence.  It runs
+    on ``core.unit_scale(A)``, with the same eigenvectors, and reports in the
+    units of ``A``: a ``lambda`` past the float range is a ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not is_symmetric(A):
         raise ValueError("symmetric tensor required")
+    A, e = unit_scale(A)
     n = A.dim
     m = A.order
     starts = [np.full(n, 1.0), *np.random.default_rng(0).uniform(0.1, 1.0, (8, n))]
@@ -250,10 +255,15 @@ def find_negative_hpp_eigenpair(
         defect = residual(A, pair)
         if not defect <= tolerance(A, tol):  # a NaN residual is no eigenpair
             continue
+        lam = unscale(float(lam), e)
+        if lam is None:  # past the float range, with the sign of the copy's
+            lam = float(np.copysign(np.inf, pair.lam))
         if falls_short(lam, tol, nonpositive):
-            found.append(EigenPair(float(lam), x, defect))
+            found.append(EigenPair(lam, x, unscale(defect, e)))
 
     if not found:
         return None
-    found.sort(key=lambda p: (p.lam, tuple(p.x)))
-    return found[0]
+    best = min(found, key=lambda p: (p.lam, tuple(p.x)))
+    if not np.isfinite(best.lam) or best.residual is None:
+        raise ValueError(f"eigenpair found at scale 2**{e} does not fit in a float")
+    return best

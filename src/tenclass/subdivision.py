@@ -35,7 +35,6 @@ from .core import (
     Tensor,
     apply,
     apply_jacobian,
-    as_vector,
     clears,
     falls_short,
     form_value,
@@ -51,11 +50,6 @@ __all__ = [
     "INCONCLUSIVE",
     "Verdict",
     "WitnessError",
-    "Simplex",
-    "standard_simplex",
-    "refine",
-    "component_coeffs",
-    "form_coeffs",
     "decide_all_components_negative",
     "decide_form_nonneg",
     "search_nonneg_solution",
@@ -166,7 +160,7 @@ def _jsonable(v):
 
 
 # ---------------------------------------------------------------------------
-# simplices
+# leaves: longest edges, halving and root coefficients
 
 
 @lru_cache(maxsize=None)
@@ -206,136 +200,6 @@ def _halve(X: np.ndarray, axes: tuple[int, ...], a: np.ndarray, b: np.ndarray) -
     for ax in axes:
         view = out.reshape(len(out), math.prod(shape[:ax]), shape[ax], -1)
         view[rows, :, p] = 0.5 * (view[rows, :, p] + view[rows, :, q])
-    return out
-
-
-class Simplex:
-    """``r`` affinely independent vertices on the standard simplex of R^r."""
-
-    __slots__ = ("vertices", "depth")
-
-    def __init__(self, vertices, depth: int = 0, validate: bool = True):
-        vertices = np.asarray(vertices, dtype=np.float64)
-        if vertices.ndim != 2:
-            raise ValueError("vertices must be a 2-d array (one row per vertex)")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "depth", int(depth))
-        if validate:
-            self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Simplex is immutable")
-
-    def _validate(self):
-        V = self.vertices
-        if np.any(V < -1e-12):
-            raise ValueError("vertex leaves the nonnegative orthant")
-        if np.max(np.abs(V.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("vertex coordinates must sum to 1")
-        if V.shape[0] > 1:
-            if self.shape_measure() <= 1e-14:
-                raise ValueError("degenerate simplex: vertices nearly affinely dependent")
-
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    def diameter(self) -> float:
-        V = self.vertices
-        diff = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2).max()))
-
-    def shape_measure(self) -> float:
-        """Scale-free volume (Gram volume of the diameter-normalized edges).
-
-        Zero for affinely dependent vertices; longest-edge bisection keeps it
-        bounded away from zero, so a fixed threshold detects degeneracy at any
-        subdivision depth.
-        """
-        V = self.vertices
-        if V.shape[0] < 2:
-            return 1.0
-        d = self.diameter()
-        if d <= 0.0:
-            return 0.0
-        E = (V[1:] - V[0]) / d
-        gram = E @ E.T
-        return float(np.sqrt(max(np.linalg.det(gram), 0.0)))
-
-    def longest_edge(self) -> tuple[int, int]:
-        """Vertex pair of the longest edge, ties broken lexicographically."""
-        if self.num_vertices < 2:
-            raise ValueError("a single point has no edge")
-        a, b = _longest_edges(self.vertices[None])
-        return int(a[0]), int(b[0])
-
-    def refine(self) -> tuple["Simplex", "Simplex"]:
-        """Bisect the longest edge; the two children partition this simplex."""
-        a, b = self.longest_edge()
-        first, second = _halve(self.vertices[None], (0,), np.array([a]), np.array([b]))
-        return (
-            Simplex(first, self.depth + 1, validate=False),
-            Simplex(second, self.depth + 1, validate=False),
-        )
-
-    def barycentric(self, x) -> np.ndarray:
-        """Barycentric coordinates of ``x`` with respect to the vertices."""
-        x = as_vector(x, self.dim)
-        M = np.vstack([self.vertices.T, np.ones(self.num_vertices)])
-        rhs = np.concatenate([x, [1.0]])
-        lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        return lam
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        lam = self.barycentric(x)
-        resid = self.vertices.T @ lam - as_vector(x, self.dim)
-        return bool(np.all(lam >= -tol) and np.max(np.abs(resid)) <= 1e-9)
-
-
-def standard_simplex(dim: int) -> Simplex:
-    """The full standard simplex: vertices are the coordinate unit vectors."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return Simplex(np.eye(dim), depth=0, validate=False)
-
-
-def refine(S: Simplex) -> tuple[Simplex, Simplex]:
-    return S.refine()
-
-
-# ---------------------------------------------------------------------------
-# barycentric coefficient tensors
-
-
-def component_coeffs(A: Tensor, S: Simplex) -> np.ndarray:
-    """Per-component barycentric coefficients ``c[k][j2...jm]`` on the simplex.
-
-    For ``x`` with barycentric coordinates ``lam`` on ``S``, component ``k`` of
-    ``apply(A, x)`` equals ``sum lam[j2]...lam[jm] * c[k][j2...jm]``; the
-    barycentric monomials are nonnegative and sum to one, so the min and max
-    of ``c[k]`` bound the component over the simplex.
-    """
-    if S.dim != A.dim:
-        raise ValueError(f"simplex dim {S.dim} does not match tensor dim {A.dim}")
-    V = S.vertices
-    out = A.data
-    for _ in range(A.order - 1):
-        out = np.tensordot(out, V, axes=([1], [1]))
-    return out
-
-
-def form_coeffs(A: Tensor, S: Simplex) -> np.ndarray:
-    """Scalar form coefficients ``c[j1...jm]``: the multilinear form at vertex tuples."""
-    if S.dim != A.dim:
-        raise ValueError(f"simplex dim {S.dim} does not match tensor dim {A.dim}")
-    V = S.vertices
-    out = A.data
-    for _ in range(A.order):
-        out = np.tensordot(out, V, axes=([0], [1]))
     return out
 
 
@@ -467,8 +331,8 @@ def _equalize(A: Tensor, y0, floor, scale: float, iters: int = 15):
 
 
 def _check_params(epsilon: float, max_depth: int) -> None:
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive: plain Python loops over index tuples,
 dense grid scans of the simplex, and the engine's search one leaf at a time.
 None of it shares code with the library paths it validates; the best-first
 search reuses only the verdict, tolerance and polishing pieces that are not
-what it checks.
+what it checks, and takes its edges, children and point values from
+``tenclass.reference``, which shares no code with the engine.
 """
 
 import heapq
@@ -92,28 +93,6 @@ def grid_form_min(data: np.ndarray, k: int = 200) -> float:
     return min(naive_form(data, y) for y in grid)
 
 
-def loop_longest_edge(V: np.ndarray) -> tuple[int, int]:
-    """Longest edge by a double loop over vertex pairs; the first (a, b) wins a tie."""
-    best = (-1.0, 0, 1)
-    r = V.shape[0]
-    for a in range(r):
-        for b in range(a + 1, r):
-            d = float(np.dot(V[a] - V[b], V[a] - V[b]))
-            if d > best[0]:
-                best = (d, a, b)
-    return best[1], best[2]
-
-
-def bisect_vertices(V: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the two halves of one simplex split at the midpoint of edge ``(a, b)``."""
-    mid = 0.5 * (V[a] + V[b])
-    first = V.copy()
-    first[b] = mid
-    second = V.copy()
-    second[a] = mid
-    return first, second
-
-
 def replace_vertex(coeffs: np.ndarray, axes, p: int, q: int) -> np.ndarray:
     """One leaf's coefficients after vertex ``p`` moves to the midpoint of ``(p, q)``.
 
@@ -138,7 +117,8 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
     ``A`` at the points.  Heap entries are ``(key, seq, depth, vertices,
     coeffs)``.
     """
-    from tenclass.core import apply_batch, clears, falls_short, form_batch, tolerance
+    from tenclass.core import clears, falls_short, tolerance
+    from tenclass.reference import Simplex, apply_batch, form_batch
     from tenclass.subdivision import _POLISH_TRIGGER, HOLDS, INCONCLUSIVE, Verdict
 
     n = A.dim
@@ -191,13 +171,14 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
         if nodes + 2 > max_nodes:
             limit = "max_nodes"
             break
-        a, b = loop_longest_edge(V)
+        S = Simplex(V, validate=False)
+        a, b = S.longest_edge()
         nodes += 2
         deepest = max(deepest, depth + 1)
-        first, second = bisect_vertices(V, a, b)
+        first, second = S.refine()
         for child, cc in ((first, replace_vertex(coeffs, coeff_axes, b, a)),
                           (second, replace_vertex(coeffs, coeff_axes, a, b))):
-            heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child, cc))
+            heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child.vertices, cc))
             seq += 1
     return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
 

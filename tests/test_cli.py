@@ -118,6 +118,30 @@ class TestClassifyCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestErrorExit:
+    """Every usage error exits 1 with an ``error:`` line and no report."""
+
+    @pytest.mark.parametrize("option", [["--epsilon", "0"], ["--max-depth", "0"],
+                                        ["--epsilon", "inf"], ["--epsilon", "nan"]])
+    @pytest.mark.parametrize("command", [["fixtures"], ["verify", "dd_implies_E0"]])
+    def test_bad_config(self, tmp_path, capsys, option, command):
+        out = tmp_path / "report.json"
+        assert main([*option, "--out", str(out), *command]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,runner", [(["fixtures"], "run_fixtures"),
+                                                (["verify", "dd_implies_E0"], "run_suite")])
+    def test_unserializable_report(self, tmp_path, capsys, monkeypatch, command, runner):
+        report = {"passed": True, "violations": [], "inconclusive": 0, "value": math.inf}
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs: report)
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), *command]) == 1
+        assert not out.exists()
+        assert "error: cannot serialize non-finite float" in capsys.readouterr().err
+
+
 class TestSpectralCommand:
     def test_radius(self, tmp_path):
         f = write_tensor(tmp_path / "ones.json", tensor_to_json(Tensor.ones(3, 2)))
@@ -133,6 +157,24 @@ class TestSpectralCommand:
         assert main(["--out", str(out), "spectral", f, "--eigenpair"]) == 0
         doc = json.loads(out.read_text())
         assert doc["eigenpair"]["lambda"] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_radius_past_the_float_range_is_null(self, tmp_path):
+        # rho = 4e308; unscaled, the iteration overflows
+        f = write_tensor(tmp_path / "big.json", tensor_to_json(Tensor(np.full((2,) * 3, 1e308))))
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out), "spectral", f, "--radius"]) == 0
+        doc = json.loads(out.read_text())["radius"]
+        assert (doc["lower"], doc["upper"], doc["converged"]) == (None, None, True)
+
+    def test_eigenpair_near_overflow(self, tmp_path):
+        # every positive x is an eigenvector of -1e308 * I with lambda = -1e308
+        A = Tensor(-1e308 * Tensor.identity(3, 2).data)
+        f = write_tensor(tmp_path / "negI.json", tensor_to_json(A))
+        out = tmp_path / "p.json"
+        assert main(["--out", str(out), "spectral", f, "--eigenpair"]) == 0
+        doc = json.loads(out.read_text())["eigenpair"]
+        assert doc["lambda"] == pytest.approx(-1e308, rel=1e-15)
+        assert doc["residual"] <= 1e-14 * 1e308
 
     def test_eigenpair_requires_symmetric(self, tmp_path, almost_e_tensor, capsys):
         f = write_tensor(tmp_path / "asym.json", tensor_to_json(almost_e_tensor))

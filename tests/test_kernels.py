@@ -13,9 +13,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tenclass import Tensor, apply, apply_batch, apply_jacobian, core, form_batch, form_value
-from tenclass import subdivision
+from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, form_value
+from tenclass import reference, subdivision
 from tenclass.core import as_vector, symmetrize
+from tenclass.reference import Simplex, refine, standard_simplex
 from tenclass.subdivision import (
     _candidate_values,
     _halve,
@@ -24,13 +25,7 @@ from tenclass.subdivision import (
     _project_simplex,
     _slot_symmetrized_rows,
 )
-from _oracles import (
-    bisect_vertices,
-    loop_apply_jacobian,
-    loop_longest_edge,
-    numpy_project_simplex,
-    replace_vertex,
-)
+from _oracles import loop_apply_jacobian, numpy_project_simplex, replace_vertex
 
 ORDERS = (1, 2, 3, 4)
 DIMS = range(1, 9)
@@ -172,10 +167,7 @@ def _bisection_walk(rng, n, depth):
     V = np.eye(n)
     for _ in range(depth):
         yield V
-        a, b = loop_longest_edge(V)
-        mid = 0.5 * (V[a] + V[b])
-        V = V.copy()
-        V[b if rng.random() < 0.5 else a] = mid
+        V = Simplex(V, validate=False).refine()[0 if rng.random() < 0.5 else 1].vertices
 
 
 def _one_leaf_edge(V):
@@ -193,13 +185,13 @@ class TestNodeStep:
         assert len(leaves) == 1600
         a, b = _longest_edges(np.stack(leaves))
         for V, pair in zip(leaves, zip(a.tolist(), b.tolist())):
-            assert pair == loop_longest_edge(V) == _one_leaf_edge(V)
+            assert pair == Simplex(V, validate=False).longest_edge() == _one_leaf_edge(V)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_standard_simplex_picks_first_pair(self, n):
         # every edge of the standard simplex has the same length
         assert _one_leaf_edge(np.eye(n)) == (0, 1)
-        assert loop_longest_edge(np.eye(n)) == (0, 1)
+        assert standard_simplex(n).longest_edge() == (0, 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("m", (2, 3, 4))
@@ -216,9 +208,9 @@ class TestNodeStep:
         forms = rng.normal(size=(k,) + (n,) * m)
         form_halves = _halve(forms, tuple(range(m)), a, b)
         for i in range(k):
-            first, second = bisect_vertices(leaves[i], a[i], b[i])
-            assert np.array_equal(halves[2 * i], first)
-            assert np.array_equal(halves[2 * i + 1], second)
+            first, second = refine(Simplex(leaves[i], validate=False))
+            assert np.array_equal(halves[2 * i], first.vertices)
+            assert np.array_equal(halves[2 * i + 1], second.vertices)
             for got, coeffs, axes in ((row_halves, rows, tuple(range(1, m))),
                                       (form_halves, forms, tuple(range(m)))):
                 assert np.array_equal(got[2 * i], replace_vertex(coeffs[i], axes, b[i], a[i]))
@@ -282,7 +274,7 @@ class TestTracedNames:
             monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
         for name in ("apply_batch", "form_batch"):
             assert not hasattr(subdivision, name)
-            monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
+            monkeypatch.setattr(reference, name, counting(name, getattr(reference, name)))
         return counts
 
     def test_component_search_fails_with_polishing(self, calls, almost_e0_tensor):

@@ -166,6 +166,21 @@ class TestEigenpairSearch:
         with pytest.raises(ValueError, match="symmetric"):
             find_negative_hpp_eigenpair(almost_e_tensor)
 
+    @pytest.mark.parametrize("k", [-3, 5, 1000])
+    def test_search_does_not_depend_on_units(self, almost_c_tensor, k):
+        # the search runs on the same unit-scale copy of S and of S * 2^k
+        S = symmetrize(almost_c_tensor)
+        pair = find_negative_hpp_eigenpair(S, tol=1e-8)
+        big = find_negative_hpp_eigenpair(Tensor(np.ldexp(S.data, k)), tol=1e-8)
+        assert np.array_equal(big.x, pair.x)
+        assert big.lam == np.ldexp(pair.lam, k)
+        assert big.residual == np.ldexp(pair.residual, k)
+
+    def test_eigenvalue_past_the_float_range_is_an_error(self):
+        # lambda = -4e308 for the all -1e308 tensor, at x = 2^(-1/3) (1, 1)
+        with pytest.raises(ValueError, match="does not fit in a float"):
+            find_negative_hpp_eigenpair(Tensor(np.full((2,) * 3, -1e308)))
+
     def test_deterministic_for_fixed_seed(self, almost_c_tensor):
         # the starts are fixed: all-ones and eight draws of default_rng(0)
         S = symmetrize(almost_c_tensor)

@@ -213,6 +213,19 @@ class TestDecideAllComponentsNegative:
         with pytest.raises(ValueError):
             decide_all_components_negative(almost_e0_tensor, True, max_depth=0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, almost_e0_tensor, epsilon):
+        # at tol = inf every bound clears a non-strict rule and every point
+        # falls short of a strict one
+        from tenclass import Config
+
+        for search in (decide_all_components_negative, decide_form_nonneg,
+                       search_nonneg_solution):
+            with pytest.raises(ValueError, match="positive and finite"):
+                search(almost_e0_tensor, True, epsilon=epsilon)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Config(epsilon=epsilon)
+
     def test_inconclusive_on_tiny_budget(self):
         # certifying strict positivity of the identity image needs the leaves to
         # pull away from the simplex boundary, which one level cannot do in dim 3
@@ -397,7 +410,7 @@ class TestGridAgreement:
 
     def test_component_verdicts_match_grid(self, almost_e0_tensor, balanced_tensor,
                                            sbar_tensor):
-        from tenclass.core import apply_batch, max_abs
+        from tenclass import apply_batch, max_abs
 
         for A in (almost_e0_tensor, balanced_tensor, sbar_tensor):
             eps_abs = 1e-9 * max_abs(A)
@@ -413,7 +426,7 @@ class TestGridAgreement:
 
     def test_feasibility_verdicts_match_grid(self, almost_e0_tensor, balanced_tensor,
                                              sbar_tensor):
-        from tenclass.core import apply_batch, max_abs
+        from tenclass import apply_batch, max_abs
 
         for A in (almost_e0_tensor, balanced_tensor, sbar_tensor):
             eps_abs = 1e-9 * max_abs(A)
