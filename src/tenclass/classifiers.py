@@ -127,15 +127,10 @@ class ZDecomposition:
                    Tensor(-self.B.data))
 
 
-def _offdiag_mask(order: int, dim: int) -> np.ndarray:
-    mask = np.ones((dim,) * order, dtype=bool)
-    mask[(np.arange(dim),) * order] = False
-    return mask
-
-
 def is_z_tensor(A: Tensor) -> Verdict:
     """Holds when every off-diagonal entry is nonpositive (an exact entry check)."""
-    mask = _offdiag_mask(A.order, A.dim)
+    mask = np.ones(A.data.shape, dtype=bool)
+    mask[(np.arange(A.dim),) * A.order] = False
     bad = A.data[mask] > 0.0
     if bad.any():
         idx = np.argwhere(mask)[np.nonzero(bad)[0][0]]
@@ -146,13 +141,10 @@ def is_z_tensor(A: Tensor) -> Verdict:
 
 def z_decompose(A: Tensor) -> ZDecomposition:
     """Canonical splitting with ``t = max_i a[i..i]``; raises unless ``A`` is a Z-tensor."""
-    mask = _offdiag_mask(A.order, A.dim)
-    offdiag = A.data[mask]
-    if offdiag.size and offdiag.max() > 0.0:
-        idx = np.argwhere(mask)[int(np.argmax(A.data[mask]))]
-        raise NotZTensorError(
-            f"positive off-diagonal entry at {tuple(int(i) for i in idx)}"
-        )
+    z = is_z_tensor(A)
+    if not z.holds:
+        at = z.info["positive_offdiagonal_at"]
+        raise NotZTensorError(f"positive off-diagonal entry at {at}")
     t = float(diag(A).max())
     B = Tensor(t * Tensor.identity(A.order, A.dim).data - A.data)
     return ZDecomposition(t, B)
@@ -209,11 +201,10 @@ def entry_conditions(A: Tensor) -> EntryConditions:
     return EntryConditions(tuple(float(v) for v in d), tuple(drops))
 
 
-def has_nonneg_row_subtensor(A: Tensor, positive: bool = False) -> int | None:
-    """Index of the first entrywise nonnegative (positive) row subtensor, if any."""
+def has_nonneg_row_subtensor(A: Tensor) -> int | None:
+    """Index of the first entrywise nonnegative row subtensor, if any."""
     for i in range(A.dim):
-        row = row_subtensor(A, i).data
-        if (np.all(row > 0.0) if positive else np.all(row >= 0.0)):
+        if np.all(row_subtensor(A, i).data >= 0.0):
             return i
     return None
 

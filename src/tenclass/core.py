@@ -295,23 +295,30 @@ def diag(A: Tensor) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_inverse(order: int, dim: int) -> np.ndarray:
-    # group multi-indices by their sorted form; entries in one group belong to
-    # the same permutation orbit
+def _orbit_inverse(order: int, dim: int, k: int) -> np.ndarray:
+    # group multi-indices by their leading indices and the sorted form of the
+    # trailing k; entries in one group belong to the same orbit of the
+    # permutations of the trailing k slots
     grids = np.meshgrid(*([np.arange(dim)] * order), indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=1)
-    codes = np.sort(idx, axis=1) @ (dim ** np.arange(order))
+    idx[:, order - k:] = np.sort(idx[:, order - k:], axis=1)
+    codes = idx @ (dim ** np.arange(order))
     _, inverse = np.unique(codes, return_inverse=True)
     return inverse
 
 
+def orbit_mean(data: np.ndarray, k: int) -> np.ndarray:
+    """Average each entry of a cubical array over the permutations of its last
+    ``k`` indices; the result is exactly symmetric in those slots."""
+    inverse = _orbit_inverse(data.ndim, data.shape[0], k)
+    sums = np.bincount(inverse, weights=data.ravel())
+    counts = np.bincount(inverse)
+    return (sums / counts)[inverse].reshape(data.shape)
+
+
 def symmetrize(A: Tensor) -> Tensor:
     """Average each permutation orbit; the result is exactly index-symmetric."""
-    inverse = _orbit_inverse(A.order, A.dim)
-    flat = A.data.ravel()
-    sums = np.bincount(inverse, weights=flat)
-    counts = np.bincount(inverse)
-    return Tensor((sums / counts)[inverse].reshape(A.data.shape))
+    return Tensor(orbit_mean(A.data, A.order))
 
 
 def is_symmetric(A: Tensor) -> bool:

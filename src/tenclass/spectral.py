@@ -28,7 +28,7 @@ from .core import (
     unit_scale,
     unscale,
 )
-from .subdivision import INTERIOR_MARGIN
+from .subdivision import INTERIOR_MARGIN, _polish_descent
 
 __all__ = [
     "EigenPair",
@@ -156,13 +156,15 @@ def residual(A: Tensor, pair: EigenPair) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def _project_cone_sphere(x: np.ndarray, m: int) -> np.ndarray | None:
-    """Clip to the nonnegative orthant, then normalize onto ``sum x_i^m = 1``."""
+def _project_cone_sphere(x: np.ndarray, m: int) -> np.ndarray:
+    """Clip to the nonnegative orthant, then normalize onto ``sum x_i^m = 1``.
+
+    ``x`` needs a positive coordinate.  The descent's starts are positive,
+    and its steps move at most 1/2 from a point of m-norm 1, whose 2-norm is
+    at least 1, so every trial point keeps one.
+    """
     x = np.maximum(x, 0.0)
-    norm = float(np.sum(x ** m)) ** (1.0 / m)
-    if norm <= 0.0:
-        return None
-    return x / norm
+    return x / float(np.sum(x ** m)) ** (1.0 / m)
 
 
 def _newton_polish(A: Tensor, x: np.ndarray, lam: float, iters: int = 12):
@@ -200,11 +202,12 @@ def find_negative_hpp_eigenpair(
     (``lambda <= tol`` when ``nonpositive`` is set); ``tol`` is absolute for
     ``lambda`` and relative to the largest absolute entry for the residual.
 
-    Projected-gradient multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``,
-    from the all-ones vector and 8 fixed draws of ``default_rng(0)``, with
-    Armijo backtracking (at most 400 steps per start), followed by a Newton
-    polish of the stationarity system; an eigenvector with a coordinate below
-    ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
+    Multistart on ``min A x^m`` over ``{x >= 0, sum x_i^m = 1}``, from the
+    all-ones vector and 8 fixed draws of ``default_rng(0)``: each start
+    descends through the engine's witness-polishing descent
+    (``subdivision._polish_descent``, projected onto that set), then a Newton
+    polish solves the stationarity system; an eigenvector with a coordinate
+    below ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
     search found nothing; it is never a certificate of nonexistence.  It runs
     on ``core.unit_scale(A)``, with the same eigenvectors, and reports in the
     units of ``A``: a ``lambda`` past the float range is a ``ValueError``.
@@ -217,35 +220,16 @@ def find_negative_hpp_eigenpair(
     n = A.dim
     m = A.order
     starts = [np.full(n, 1.0), *np.random.default_rng(0).uniform(0.1, 1.0, (8, n))]
+    min_decrease = tolerance(A, 1e-13)
 
     found: list[EigenPair] = []
     for start in starts:
-        x = _project_cone_sphere(start, m)
-        if x is None:
-            continue
-        val = form_value(A, x)
-        for _ in range(400):
-            grad = m * apply(A, x)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-300:
-                break
-            step = 1.0
-            moved = False
-            for _ in range(30):
-                x_new = _project_cone_sphere(x - step * grad, m)
-                if x_new is not None:
-                    val_new = form_value(A, x_new)
-                    if val_new <= val - 1e-4 * step * gnorm * gnorm:
-                        shift = float(np.max(np.abs(x_new - x)))
-                        x, val = x_new, val_new
-                        moved = shift > 1e-14
-                        break
-                step *= 0.5
-            if not moved:
-                break
+        x, val = _polish_descent(start, lambda v: _project_cone_sphere(v, m),
+                                 lambda v: (form_value(A, v), None),
+                                 lambda v, _: m * apply(A, v), min_decrease)
         if float(np.min(x)) < INTERIOR_MARGIN:
             continue
-        polished = _newton_polish(A, x, form_value(A, x))
+        polished = _newton_polish(A, x, val)
         if polished is None:
             continue
         x, lam = polished

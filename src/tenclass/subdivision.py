@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     clears,
     falls_short,
     form_value,
+    orbit_mean,
     symmetrize,
     tolerance,
     unit_scale,
@@ -160,7 +161,7 @@ def _jsonable(v):
 
 
 # ---------------------------------------------------------------------------
-# leaves: longest edges, halving and root coefficients
+# leaves: longest edges and halving
 
 
 @lru_cache(maxsize=None)
@@ -203,25 +204,6 @@ def _halve(X: np.ndarray, axes: tuple[int, ...], a: np.ndarray, b: np.ndarray) -
     return out
 
 
-def _slot_symmetrized_rows(A: Tensor) -> np.ndarray:
-    """Symmetrize each row subtensor over the contraction slots.
-
-    ``apply`` only sees the slot-symmetric part of each row, and symmetrized
-    coefficients give second-order tight bounds, so the engine's bound arrays
-    start from these entries while all witness evaluation uses ``A`` itself.
-    """
-    m = A.order
-    if m <= 2 or A.dim == 1:
-        # nothing to average, and averaging m-1 equal copies can move an ulp
-        return A.data.copy()
-    acc = np.zeros_like(A.data)
-    count = 0
-    for perm in permutations(range(1, m)):
-        acc += np.transpose(A.data, (0,) + perm)
-        count += 1
-    return acc / count
-
-
 # ---------------------------------------------------------------------------
 # witness polishing
 
@@ -255,15 +237,16 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.array([max(x - theta, 0.0) + floor for x in z])
 
 
-def _polish_descent(y0, floor, value_fn, grad_fn, min_decrease):
+def _polish_descent(y0, project, value_fn, grad_fn, min_decrease):
     """Projected local descent with backtracking (factor 0.5) on a value.
 
-    ``value_fn(y)`` returns ``(value, aux)`` and ``grad_fn(y, aux)`` the
-    gradient at ``y``, so a contraction ``value_fn`` made is not repeated.  A
-    step counts when it lowers the value by more than ``min_decrease``.
-    Returns the final point and its value.
+    ``project`` maps a point back onto the feasible set, ``value_fn(y)``
+    returns ``(value, aux)`` and ``grad_fn(y, aux)`` the gradient at ``y``, so
+    a contraction ``value_fn`` made is not repeated.  A step counts when it
+    lowers the value by more than ``min_decrease``.  Returns the final point
+    and its value.
     """
-    y = _project_simplex(y0, floor)
+    y = project(y0)
     val, aux = value_fn(y)
     step = 0.5
     for _ in range(POLISH_STEPS):
@@ -275,7 +258,7 @@ def _polish_descent(y0, floor, value_fn, grad_fn, min_decrease):
         trial = step
         improved = False
         for _ in range(25):
-            y_new = _project_simplex(y - trial * direction, floor)
+            y_new = project(y - trial * direction)
             val_new, aux_new = value_fn(y_new)
             if val_new < val - min_decrease:
                 y, val, aux = y_new, val_new, aux_new
@@ -368,7 +351,8 @@ def decide_all_components_negative(
         return apply_jacobian(A, y)[int(f.argmax())]
 
     def polish(y):
-        y, g = _polish_descent(y, floor, value_fn, grad_fn, min_decrease)
+        y, g = _polish_descent(y, lambda v: _project_simplex(v, floor), value_fn, grad_fn,
+                               min_decrease)
         # the descent missed a witness of the strict class
         if not strict and clears(g, tol, True):
             y2, g2 = _equalize(A, y, floor, scale)
@@ -376,8 +360,11 @@ def decide_all_components_negative(
                 y = y2
         return y
 
+    # apply sees only the slot-symmetric part of each row, and symmetrized
+    # coefficients give second-order tight bounds, so the bound arrays start
+    # from each row's mean over its m - 1 slots; witnesses are evaluated on A
     return _in_units(_min_search(
-        A, _slot_symmetrized_rows(A), tuple(range(1, A.order)), lambda y: value_fn(y)[0],
+        A, orbit_mean(A.data, A.order - 1), tuple(range(1, A.order)), lambda y: value_fn(y)[0],
         strict=not strict, tol=tol, floor=floor, polish=polish, epsilon=epsilon,
         max_depth=max_depth, max_nodes=max_nodes,
     ), e)
@@ -403,7 +390,7 @@ def decide_form_nonneg(
     min_decrease = tolerance(A, 1e-13)
 
     def polish(y):
-        return _polish_descent(y, 0.0, lambda v: (form_value(A, v), None),
+        return _polish_descent(y, _project_simplex, lambda v: (form_value(A, v), None),
                                lambda v, _: m * apply(sym, v), min_decrease)[0]
 
     return _in_units(_min_search(

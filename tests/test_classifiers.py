@@ -382,8 +382,6 @@ class TestRowsAndEntries:
         assert has_nonneg_row_subtensor(nonneg_row_tensor) == 1
         assert has_nonneg_row_subtensor(almost_e0_tensor) is None
         assert has_nonneg_row_subtensor(Tensor.ones(3, 2)) == 0
-        assert has_nonneg_row_subtensor(Tensor.ones(3, 2), positive=True) == 0
-        assert has_nonneg_row_subtensor(nonneg_row_tensor, positive=True) is None
 
     def test_entry_conditions_almost_e0(self, almost_e0_tensor):
         ec = entry_conditions(almost_e0_tensor)

@@ -6,9 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tenclass import Tensor, canonical_dumps, classify, load_tensor, tensor_to_json
+from tenclass import (Tensor, canonical_dumps, classify, is_diag_dominant, load_tensor,
+                      parse_tensor, tensor_to_json)
 from tenclass import cli
+from tenclass.classifiers import CLASSES
 from tenclass.cli import main
+from tenclass.subdivision import FAILS, Verdict
 
 
 def write_tensor(path, doc):
@@ -205,6 +208,26 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "bogus"])
+
+    def test_violations_are_written_for_triage(self, tmp_path, monkeypatch, capsys):
+        # a broken E0 predicate violates dd_nonneg_diag_implies_E0 on every
+        # instance; the suite runs in this process, where the patch holds
+        monkeypatch.setenv("TENCLASS_THREADS", "1")
+        monkeypatch.setitem(CLASSES, "E0", lambda c: Verdict(FAILS, None, 0.0, 0, 0, None))
+        out = tmp_path / "r.json"
+        # a recorded violation does not change the exit code
+        assert main(["--out", str(out), "verify", "dd_implies_E0", "--count", "2"]) == 0
+        assert "2 violation(s) recorded" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        files = sorted((tmp_path / "violations").iterdir())
+        assert [f.name for f in files] == ["dd_implies_E0_0_0.json", "dd_implies_E0_1_1.json"]
+        for i, (f, violation) in enumerate(zip(files, report["violations"])):
+            doc = json.loads(f.read_text())
+            assert doc["name"] == f"dd_implies_E0_violation_{i}"
+            assert doc["description"] == "dd_nonneg_diag_implies_E0"
+            assert doc["all_tensors"] == violation["tensors"]
+            assert doc["tensor"] == doc["all_tensors"][0]
+            assert is_diag_dominant(parse_tensor(doc["tensor"])).holds
 
 
 class TestFixturesCommand:

@@ -15,7 +15,7 @@ import pytest
 
 from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, form_value
 from tenclass import reference, subdivision
-from tenclass.core import as_vector, symmetrize
+from tenclass.core import as_vector, orbit_mean, symmetrize
 from tenclass.reference import Simplex, refine, standard_simplex
 from tenclass.subdivision import (
     _candidate_values,
@@ -23,7 +23,6 @@ from tenclass.subdivision import (
     _longest_edges,
     _polish_descent,
     _project_simplex,
-    _slot_symmetrized_rows,
 )
 from _oracles import loop_apply_jacobian, numpy_project_simplex, replace_vertex
 
@@ -225,7 +224,7 @@ class TestNodeStep:
             scale = float(np.max(np.abs(A.data)))
             layouts = (
                 (symmetrize(A).data, tuple(range(m)), lambda X: form_batch(A, X)),
-                (_slot_symmetrized_rows(A), tuple(range(1, m)),
+                (orbit_mean(A.data, m - 1), tuple(range(1, m)),
                  lambda X: apply_batch(A, X).max(axis=1)),
             )
             for root, axes, contract in layouts:
@@ -234,14 +233,10 @@ class TestNodeStep:
                     values = _candidate_values(C.reshape(len(C), -1, n ** len(axes)), n)
                     points = np.concatenate((V.mean(axis=1)[:, None], V), axis=1)
                     expected = np.stack([contract(P) for P in points])
-                    if level == 0 and (axes[0] == 0 or m < 4):
-                        # the root's vertices are the unit vectors, whose values are entries
+                    if level == 0:
+                        # the root's vertices are the unit vectors, whose values are
+                        # entries: an orbit of one entry averages to itself
                         assert np.array_equal(values[:, 1:], expected[:, 1:])
-                    elif level == 0:
-                        # an order-4 row entry is the average of its six equal
-                        # slot permutations, which can be an ulp off the entry
-                        np.testing.assert_array_max_ulp(values[:, 1:], expected[:, 1:],
-                                                        maxulp=1)
                     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
                     if n == 1:
                         break
@@ -334,7 +329,8 @@ class TestProjection:
             f = apply(A, y)
             return float(f.max()), f
 
-        y, val = _polish_descent(np.array([0.9, 0.1]), 1e-6, value_fn,
+        y, val = _polish_descent(np.array([0.9, 0.1]), lambda v: _project_simplex(v, 1e-6),
+                                 value_fn,
                                  lambda y, f: apply_jacobian(A, y)[int(f.argmax())], 1e-13)
         assert val == float(apply(A, y).max())
 

@@ -189,6 +189,21 @@ class TestEigenpairSearch:
         assert p1.lam == p2.lam
         assert np.array_equal(p1.x, p2.x)
 
+    @pytest.mark.parametrize("seed,m,n,shift,lam", [
+        (10, 3, 4, 0.3, -0.712063),
+        (3, 3, 5, 0.0, -1.193523),
+    ])
+    def test_descent_reaches_interior_pairs(self, seed, m, n, shift, lam):
+        # interior pairs that the descent from the fixed starts must reach
+        rng = np.random.default_rng([seed, m, n])
+        S = symmetrize(Tensor(rng.uniform(-1, 1, (n,) * m)))
+        A = Tensor(S.data + shift * Tensor.identity(m, n).data)
+        pair = find_negative_hpp_eigenpair(A, tol=1e-9)
+        assert pair is not None
+        assert pair.lam == pytest.approx(lam, abs=1e-6)
+        assert residual(A, pair) <= 1e-9 * float(np.max(np.abs(A.data)))
+        assert np.min(pair.x) > 1e-6
+
 
 class TestResidual:
     def test_exact_pair(self):
