@@ -57,6 +57,7 @@ __all__ = [
     "CLASSES",
     "CLASS_NAMES",
     "THEOREMS",
+    "FACTS",
     "ClassificationReport",
     "ZDecomposition",
     "NotZTensorError",
@@ -287,6 +288,16 @@ class TensorClassifier:
         """The verdict on class ``name`` (a ``CLASSES`` key), computed once."""
         return _memo(self._verdicts, name, lambda: CLASSES[name](self))
 
+    def status(self, name: str) -> str:
+        """The three-valued status of a ``THEOREMS`` rule, a class or a ``FACTS`` fact."""
+        if name in THEOREMS:
+            return THEOREMS[name](self)
+        if name in CLASSES:
+            return self.verdict(name).status
+        if name in FACTS:
+            return _truth(FACTS[name](self))
+        raise KeyError(f"no rule, class or fact named {name!r}")
+
     # -- cached engine calls ------------------------------------------------
 
     def subtensor(self, J: tuple[int, ...]) -> Tensor:
@@ -425,7 +436,7 @@ class TensorClassifier:
             symmetric=self.symmetric,
             config=self.config,
             verdicts=verdicts,
-            violations=[name for name, rule in THEOREMS.items() if rule(self) == FAILS],
+            violations=[name for name in THEOREMS if self.status(name) == FAILS],
         )
 
 
@@ -469,13 +480,12 @@ CLASS_NAMES = tuple(CLASSES)
 # A rule takes a TensorClassifier and returns the three-valued truth of one
 # implication between classes on its tensor: Holds when it is satisfied, also
 # when a guard or premise is false; Fails when it is violated, which flags an
-# engine or tolerance bug; Inconclusive when undecided.  A term is a class
-# name, read through ``TensorClassifier.verdict``, or a function of the
-# classifier returning a status.  A guard is a premise decided exactly.
+# engine or tolerance bug; Inconclusive when undecided.  A term is a name,
+# read through ``TensorClassifier.status``, or a nested rule.
 
 
 def _status(c: TensorClassifier, term) -> str:
-    return c.verdict(term).status if isinstance(term, str) else term(c)
+    return c.status(term) if isinstance(term, str) else term(c)
 
 
 def _implies(premise, conclusion):
@@ -501,16 +511,15 @@ def _iff(a, b):
     return _both(operator.eq, a, b)
 
 
-def _exact(check):
-    return lambda c: _truth(check(c))
-
-
-def _entry_signs(strict: bool):
-    return _exact(lambda c: entry_conditions(c.tensor).satisfied(strict))
-
-
-_SYMMETRIC = _exact(lambda c: c.symmetric)
-_NO_NONNEG_ROW = _exact(lambda c: has_nonneg_row_subtensor(c.tensor) is None)
+# the exact terms of the rules: a truth of the tensor decided without a search
+FACTS = {
+    "symmetric": lambda c: c.symmetric,
+    "nonnegDiagonal": lambda c: bool(np.all(diag(c.tensor) >= 0.0)),
+    "positiveDiagonal": lambda c: bool(np.all(diag(c.tensor) > 0.0)),
+    "noNonnegRowSubtensor": lambda c: has_nonneg_row_subtensor(c.tensor) is None,
+    "entrySigns": lambda c: entry_conditions(c.tensor).satisfied(False),
+    "strictEntrySigns": lambda c: entry_conditions(c.tensor).satisfied(True),
+}
 
 # the theorems ``classify`` cross-checks and the suites test, by name; the
 # order is the order of ``consistency_violations``
@@ -524,20 +533,19 @@ THEOREMS = {
     "completelyS_implies_completelyS0": _implies("completelyS", "completelyS0"),
     "nonneg_implies_E0": _implies("nonneg", "E0"),
     "positive_implies_E": _implies("positive", "E"),
-    "sym_E0_implies_C0": _implies(_SYMMETRIC, _implies("E0", "C0")),
-    "sym_almostE0_iff_almostC0": _implies(_SYMMETRIC, _iff("almostE0", "almostC0")),
-    "sym_almostE_iff_almostC": _implies(_SYMMETRIC, _iff("almostE", "almostC")),
+    "sym_E0_implies_C0": _implies("symmetric", _implies("E0", "C0")),
+    "sym_almostE0_iff_almostC0": _implies("symmetric", _iff("almostE0", "almostC0")),
+    "sym_almostE_iff_almostC": _implies("symmetric", _iff("almostE", "almostC")),
     "z_E0_iff_M": _implies("Z", _iff("E0", "M")),
     "z_E_iff_strongM": _implies("Z", _iff("E", "strongM")),
     "strongM_implies_M": _implies("Z", _implies("strongM", "M")),
-    "dd_nonneg_diag_implies_E0": _implies(_exact(lambda c: np.all(diag(c.tensor) >= 0.0)),
-                                          _implies("diagDominant", "E0")),
-    "sdd_positive_diag_implies_E": _implies(_exact(lambda c: np.all(diag(c.tensor) > 0.0)),
+    "dd_nonneg_diag_implies_E0": _implies("nonnegDiagonal", _implies("diagDominant", "E0")),
+    "sdd_positive_diag_implies_E": _implies("positiveDiagonal",
                                             _implies("strictDiagDominant", "E")),
-    "almostE0_row_subtensor_without_negative_entry": _implies("almostE0", _NO_NONNEG_ROW),
-    "almostE0_entry_conditions_violated": _implies("almostE0", _entry_signs(False)),
-    "almostE_row_subtensor_without_negative_entry": _implies("almostE", _NO_NONNEG_ROW),
-    "almostE_entry_conditions_violated": _implies("almostE", _entry_signs(True)),
+    "almostE0_row_subtensor_without_negative_entry": _implies("almostE0", "noNonnegRowSubtensor"),
+    "almostE0_entry_conditions_violated": _implies("almostE0", "entrySigns"),
+    "almostE_row_subtensor_without_negative_entry": _implies("almostE", "noNonnegRowSubtensor"),
+    "almostE_entry_conditions_violated": _implies("almostE", "strictEntrySigns"),
     "almostE_outside_trichotomy": _implies("almostE", _both(operator.or_, "almostE0", "E0")),
 }
 

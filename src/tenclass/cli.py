@@ -1,10 +1,10 @@
 """Command-line front end: classify tensors, run spectral routines, verify suites.
 
 Exit codes: 0 for a fully decisive run, 2 when some verdict is Inconclusive
-(or a fixture label mismatches), 1 for an option, file, parse or validation
-error (no report is emitted then).  A report holding a non-finite value
-would be such an error; a value that does not fit in a float is reported as
-null.
+(or a fixture label mismatches, or a suite records a violation), 1 for an
+option, file, parse or validation error (no report is emitted then).  A
+report holding a non-finite value would be such an error; a value that does
+not fit in a float is reported as null.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _cmd_verify(args, config) -> int:
     if found:
         _dump_violations(found, args.out)
         print(f"{len(found)} violation(s) recorded", file=sys.stderr)
-    return 2 if report["inconclusive"] and not found else 0
+    return 2 if report["inconclusive"] or found else 0
 
 
 def _dump_violations(found, out: str | None) -> None:

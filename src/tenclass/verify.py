@@ -16,12 +16,9 @@ from itertools import islice, repeat
 import numpy as np
 
 from .classifiers import (
-    THEOREMS,
     Config,
     TensorClassifier,
     _nonempty_subsets,
-    entry_conditions,
-    has_nonneg_row_subtensor,
     is_diag_dominant,
     stabilizing_diagonal,
 )
@@ -52,15 +49,6 @@ __all__ = [
     "thread_count",
 ]
 
-GENERATOR_KINDS = (
-    "diagDominant",
-    "strictDiagDominant",
-    "zTensor",
-    "symmetric",
-    "nonneg",
-    "almostE0Seeded",
-)
-
 # (order, dim) sweep for suite instances
 _SIZES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4))
 # seeded almost-instances skip (4, 4): rejection sampling there is too slow
@@ -82,9 +70,9 @@ class GeneratorSpec:
     factor: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}; "
-                             f"choose from {GENERATOR_KINDS}")
+                             f"choose from {tuple(GENERATORS)}")
         if self.order < 2 or self.dim < 1 or self.count < 1:
             raise ValueError("order >= 2, dim >= 1 and count >= 1 required")
 
@@ -113,15 +101,15 @@ def _gen_diag_dominant(rng, m, n, strict):
     row_abs = np.abs(data).reshape(n, -1).sum(axis=1)
     slack = 0.1 + rng.uniform(0.0, 0.5, n) if strict else rng.uniform(0.0, 0.5, n)
     data[di] = row_abs + slack
-    return Tensor(data)
+    A = Tensor(data)
+    assert is_diag_dominant(A, strict).holds
+    return A
 
 
 def _gen_z(rng, m, n, factor):
     B = Tensor(rng.uniform(0.0, 1.0, (n,) * m))
-    enc = spectral_radius_nonneg(B)
-    t = float(factor) * enc.midpoint
-    A = Tensor(t * Tensor.identity(m, n).data - B.data)
-    return A, B, t
+    t = float(factor) * spectral_radius_nonneg(B).midpoint
+    return Tensor(t * Tensor.identity(m, n).data - B.data)
 
 
 def _gen_symmetric(rng, m, n, shift=0.0):
@@ -180,31 +168,24 @@ def _gen_almost_e0(rng, m, n, config, budget=50):
     )
 
 
+# every generator kind and its draw from (rng, spec, config)
+GENERATORS = {
+    "diagDominant": lambda rng, s, _: _gen_diag_dominant(rng, s.order, s.dim, False),
+    "strictDiagDominant": lambda rng, s, _: _gen_diag_dominant(rng, s.order, s.dim, True),
+    "zTensor": lambda rng, s, _: _gen_z(rng, s.order, s.dim,
+                                        1.5 if s.factor is None else s.factor),
+    "symmetric": lambda rng, s, _: _gen_symmetric(rng, s.order, s.dim),
+    "nonneg": lambda rng, s, _: _gen_nonneg(rng, s.order, s.dim),
+    "almostE0Seeded": lambda rng, s, config: _gen_almost_e0(rng, s.order, s.dim, config)[0],
+}
+
+
 def generate(spec: GeneratorSpec, config: Config | None = None) -> list[Tensor]:
     """Produce ``spec.count`` tensors; every output satisfies its kind's defining check."""
     config = config or Config()
-    out = []
-    for i in range(spec.count):
-        rng = np.random.default_rng([spec.seed, i])
-        m, n = spec.order, spec.dim
-        if spec.kind == "diagDominant":
-            A = _gen_diag_dominant(rng, m, n, strict=False)
-            assert is_diag_dominant(A).holds
-        elif spec.kind == "strictDiagDominant":
-            A = _gen_diag_dominant(rng, m, n, strict=True)
-            assert is_diag_dominant(A, strict=True).holds
-        elif spec.kind == "zTensor":
-            A, _, _ = _gen_z(rng, m, n, spec.factor if spec.factor is not None else 1.5)
-        elif spec.kind == "symmetric":
-            A = _gen_symmetric(rng, m, n)
-        elif spec.kind == "nonneg":
-            A = _gen_nonneg(rng, m, n)
-        elif spec.kind == "almostE0Seeded":
-            A, _ = _gen_almost_e0(rng, m, n, config)
-        else:  # pragma: no cover
-            raise ValueError(spec.kind)
-        out.append(A)
-    return out
+    draw = GENERATORS[spec.kind]
+    return [draw(np.random.default_rng([spec.seed, i]), spec, config)
+            for i in range(spec.count)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,76 +200,77 @@ def _violation(i, detail, *tensors):
     }
 
 
-def _checks(i, *checks):
-    """Outcome of instance ``i`` from ``(classifier, name)`` checks.
+def _checks(i, config, *checks):
+    """Outcome of instance ``i`` from ``(tensor, name)`` checks.
 
-    ``name`` is a ``THEOREMS`` rule or a class the tensor must be in.  The
-    checks run in order up to the first violation, whose detail is the name;
-    without one, any undecided check makes the instance inconclusive.
+    ``name`` is a ``THEOREMS`` rule, a class or a ``FACTS`` fact the tensor
+    must satisfy, read through one classifier per tensor.  The checks run in
+    order up to the first violation, whose detail is the name; without one,
+    any undecided check makes the instance inconclusive.
     """
+    classifiers = {}
     undecided = False
-    for clf, name in checks:
-        status = THEOREMS[name](clf) if name in THEOREMS else clf.verdict(name).status
+    for T, name in checks:
+        if id(T) not in classifiers:
+            classifiers[id(T)] = TensorClassifier(T, config)
+        status = classifiers[id(T)].status(name)
         if status == FAILS:
-            return "violation", _violation(i, name, clf.tensor)
+            return "violation", _violation(i, name, T)
         undecided |= status == INCONCLUSIVE
     return ("inconclusive", None) if undecided else ("ok", None)
 
 
-def _suite_dd(i, seed, config):
-    rng = np.random.default_rng([seed, 20, i])
-    m, n = _SIZES[i % len(_SIZES)]
-    A = _gen_diag_dominant(rng, m, n, strict=False)
-    return _checks(i, (TensorClassifier(A, config), "dd_nonneg_diag_implies_E0"))
+def _suite(salt, sizes, body, deep=False):
+    """Suite instance runner: ``body(i, rng, m, n, config)`` gives the outcome of
+    instance ``i`` on the ``default_rng([seed, salt, i])`` stream at shape
+    ``sizes[i % len(sizes)]``.
+
+    ``deep`` raises the depth cap to 128, for suites that certify around a
+    point where an image vanishes (the leaf size must fall below epsilon
+    divided by the image gradient).
+    """
+    def run(i, seed, config):
+        if deep:
+            config = replace(config, max_depth=max(config.max_depth, 128))
+        m, n = sizes[i % len(sizes)]
+        return body(i, np.random.default_rng([seed, salt, i]), m, n, config)
+    return run
 
 
-def _suite_sdd(i, seed, config):
-    rng = np.random.default_rng([seed, 21, i])
-    m, n = _SIZES[i % len(_SIZES)]
-    A = _gen_diag_dominant(rng, m, n, strict=True)
-    return _checks(i, (TensorClassifier(A, config), "sdd_positive_diag_implies_E"))
+def _dd(i, rng, m, n, config):
+    A = _gen_diag_dominant(rng, m, n, False)
+    return _checks(i, config, (A, "dd_nonneg_diag_implies_E0"))
 
 
-def _suite_nonneg(i, seed, config):
-    rng = np.random.default_rng([seed, 22, i])
-    m, n = _SIZES[i % len(_SIZES)]
+def _sdd(i, rng, m, n, config):
+    A = _gen_diag_dominant(rng, m, n, True)
+    return _checks(i, config, (A, "sdd_positive_diag_implies_E"))
+
+
+def _nonneg(i, rng, m, n, config):
     A = _gen_nonneg(rng, m, n)
-    P = Tensor(A.data + 0.05)
-    return _checks(i, (TensorClassifier(A, config), "nonneg_implies_E0"),
-                   (TensorClassifier(P, config), "positive_implies_E"))
+    return _checks(i, config, (A, "nonneg_implies_E0"),
+                   (Tensor(A.data + 0.05), "positive_implies_E"))
 
 
-def _suite_z(i, seed, config):
-    # the t = rho boundary needs deep certification (leaf size must fall below
-    # epsilon divided by the image gradient); raise the depth cap here only
-    config = replace(config, max_depth=max(config.max_depth, 128))
-    rng = np.random.default_rng([seed, 23, i])
-    m, n = _SIZES[i % len(_SIZES)]
+def _z(i, rng, m, n, config):
     factor = (0.5, 1.0, 1.5)[i % 3]
-    A, _, _ = _gen_z(rng, m, n, factor)
-    clf = TensorClassifier(A, config)
+    A = _gen_z(rng, m, n, factor)
     # t at the midpoint of the radius enclosure sits on the E boundary, which
     # is not numerically decidable; the E / strong M equivalence is exercised
     # off the boundary
     rules = ("z_E0_iff_M",) if factor == 1.0 else ("z_E0_iff_M", "z_E_iff_strongM")
-    return _checks(i, *((clf, rule) for rule in rules))
+    return _checks(i, config, *((A, rule) for rule in rules))
 
 
-def _suite_cop_implies_semi(i, seed, config):
-    rng = np.random.default_rng([seed, 24, i])
-    m, n = _SIZES[i % len(_SIZES)]
+def _cop_implies_semi(i, rng, m, n, config):
     A = Tensor(rng.uniform(-0.3, 1.0, (n,) * m))
-    if i % 2:
-        A = symmetrize(A)
-    return _checks(i, (TensorClassifier(A, config), "C0_implies_E0"))
+    return _checks(i, config, (symmetrize(A) if i % 2 else A, "C0_implies_E0"))
 
 
-def _suite_sym_semi_implies_cop(i, seed, config):
-    rng = np.random.default_rng([seed, 25, i])
-    m, n = _SIZES[i % len(_SIZES)]
-    shift = (0.0, 0.5, 1.5)[i % 3]
-    A = _gen_symmetric(rng, m, n, shift=shift)
-    return _checks(i, (TensorClassifier(A, config), "sym_E0_implies_C0"))
+def _sym_semi_implies_cop(i, rng, m, n, config):
+    A = _gen_symmetric(rng, m, n, shift=(0.0, 0.5, 1.5)[i % 3])
+    return _checks(i, config, (A, "sym_E0_implies_C0"))
 
 
 def _sym_almost_seed(which: int) -> Tensor:
@@ -304,11 +286,9 @@ def _sym_almost_seed(which: int) -> Tensor:
     return symmetrize(A)
 
 
-def _suite_sym_almost_iff(i, seed, config):
-    rng = np.random.default_rng([seed, 26, i])
+def _sym_almost_iff(i, rng, m, n, config):
     kind = i % 3
     if kind == 0:
-        m, n = _SIZES[i % len(_SIZES)]
         A = _gen_symmetric(rng, m, n, shift=(0.0, 0.4)[i % 2])
     else:
         # conjugate a symmetric almost-class tensor by a positive diagonal and
@@ -317,16 +297,13 @@ def _suite_sym_almost_iff(i, seed, config):
         d = rng.uniform(0.5, 2.0, A.dim)
         A = scale_rows(scale_modes(A, d), d)
         A = permute(A, rng.permutation(A.dim))
-    clf = TensorClassifier(A, config)
-    return _checks(i, (clf, "sym_almostE0_iff_almostC0"), (clf, "sym_almostE_iff_almostC"))
+    return _checks(i, config, (A, "sym_almostE0_iff_almostC0"), (A, "sym_almostE_iff_almostC"))
 
 
-def _suite_almost_invariance(i, seed, config):
-    rng = np.random.default_rng([seed, 27, i])
-    m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
+def _almost_invariance(i, rng, m, n, config):
     A, _ = _gen_almost_e0(rng, m, n, config)
-    base = TensorClassifier(A, config).is_almost_semi_positive(False)
-    if base.status == INCONCLUSIVE:
+    base = TensorClassifier(A, config).status("almostE0")
+    if base == INCONCLUSIVE:
         return "inconclusive", None
     d = rng.uniform(0.5, 2.0, n)
     sigma = rng.permutation(n)
@@ -336,90 +313,70 @@ def _suite_almost_invariance(i, seed, config):
         "permuted": permute(A, sigma),
     }
     for label, T in transformed.items():
-        v = TensorClassifier(T, config).is_almost_semi_positive(False)
-        if v.status == INCONCLUSIVE:
+        status = TensorClassifier(T, config).status("almostE0")
+        if status == INCONCLUSIVE:
             return "inconclusive", None
-        if v.holds != base.holds:
+        if status != base:
             return "violation", _violation(
                 i, f"almost semi-positivity not invariant under {label}: "
-                   f"{base.status} vs {v.status}", A, T)
+                   f"{base} vs {status}", A, T)
     return "ok", None
 
 
 def _stabilized(rng, m, n, config):
+    """A seeded almost semi-positive tensor, its witness and the tensor plus its
+    stabilizing diagonal."""
     A, x = _gen_almost_e0(rng, m, n, config)
-    D = stabilizing_diagonal(A, x)
-    return A, x, D, add(A, D)
+    return A, x, add(A, stabilizing_diagonal(A, x))
 
 
-def _suite_almost_rows(i, seed, config):
-    rng = np.random.default_rng([seed, 28, i])
-    m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
-    A, x, _, A2 = _stabilized(rng, m, n, config)
-    if has_nonneg_row_subtensor(A) is not None:
-        return "violation", _violation(i, "almost semi-positive tensor has a "
-                                          "nonnegative row subtensor", A)
-    if has_nonneg_row_subtensor(A2) is not None:
-        return "violation", _violation(i, "stabilized almost strictly semi-positive "
-                                          "tensor has a nonnegative row subtensor", A2)
-    return "ok", None
+def _almost_rows(i, rng, m, n, config):
+    A, _, A2 = _stabilized(rng, m, n, config)
+    return _checks(i, config, (A, "noNonnegRowSubtensor"), (A2, "noNonnegRowSubtensor"))
 
 
-def _suite_almost_entries(i, seed, config):
-    rng = np.random.default_rng([seed, 29, i])
-    m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
-    A, x, _, A2 = _stabilized(rng, m, n, config)
-    if not entry_conditions(A).satisfied(strict=False):
-        return "violation", _violation(i, "almost semi-positive tensor fails the "
-                                          "entry-sign conditions", A)
-    if not entry_conditions(A2).satisfied(strict=True):
-        return "violation", _violation(i, "almost strictly semi-positive tensor fails "
-                                          "the strict entry-sign conditions", A2)
-    return "ok", None
+def _almost_entries(i, rng, m, n, config):
+    A, _, A2 = _stabilized(rng, m, n, config)
+    return _checks(i, config, (A, "entrySigns"), (A2, "strictEntrySigns"))
 
 
-def _suite_stabilizer(i, seed, config):
-    rng = np.random.default_rng([seed, 30, i])
-    m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
-    A, x, D, A2 = _stabilized(rng, m, n, config)
+def _stabilizer(i, rng, m, n, config):
+    A, x, A2 = _stabilized(rng, m, n, config)
     res = float(np.max(np.abs(apply(A2, x))))
     if res > 1e-10:
         return "violation", _violation(i, f"stabilized image norm {res} exceeds 1e-10", A)
-    clf = TensorClassifier(A2, config)
-    return _checks(i, (clf, "almostE"), (clf, "completelyS0"))
+    return _checks(i, config, (A2, "almostE"), (A2, "completelyS0"))
 
 
-def _suite_trichotomy(i, seed, config):
-    # deciding semi-positivity of the stabilized tensor certifies around the
-    # point where its image vanishes, which needs the deep cap
-    config = replace(config, max_depth=max(config.max_depth, 128))
-    rng = np.random.default_rng([seed, 31, i])
-    m, n = _SIZES_SEEDED[i % len(_SIZES_SEEDED)]
-    _, _, _, A2 = _stabilized(rng, m, n, config)
-    clf = TensorClassifier(A2, config)
-    return _checks(i, (clf, "almostE"), (clf, "almostE_outside_trichotomy"))
+def _trichotomy(i, rng, m, n, config):
+    _, _, A2 = _stabilized(rng, m, n, config)
+    return _checks(i, config, (A2, "almostE"), (A2, "almostE_outside_trichotomy"))
 
 
 SUITES = {
-    "dd_implies_E0": (_suite_dd, 200, "diagonal dominance with nonnegative diagonal implies E0"),
-    "sdd_implies_E": (_suite_sdd, 200, "strict diagonal dominance with positive diagonal implies E"),
-    "nonneg_implies_E0": (_suite_nonneg, 200, "nonnegative implies E0; positive implies E"),
-    "z_E0_iff_M": (_suite_z, 200, "for Z-tensors: E0 iff M, E iff strong M (t swept around rho)"),
-    "copositive_implies_semipositive": (_suite_cop_implies_semi, 200,
+    "dd_implies_E0": (_suite(20, _SIZES, _dd), 200,
+                      "diagonal dominance with nonnegative diagonal implies E0"),
+    "sdd_implies_E": (_suite(21, _SIZES, _sdd), 200,
+                      "strict diagonal dominance with positive diagonal implies E"),
+    "nonneg_implies_E0": (_suite(22, _SIZES, _nonneg), 200,
+                          "nonnegative implies E0; positive implies E"),
+    "z_E0_iff_M": (_suite(23, _SIZES, _z, deep=True), 200,
+                   "for Z-tensors: E0 iff M, E iff strong M (t swept around rho)"),
+    "copositive_implies_semipositive": (_suite(24, _SIZES, _cop_implies_semi), 200,
                                         "copositive implies semi-positive"),
-    "sym_semipositive_implies_copositive": (_suite_sym_semi_implies_cop, 200,
+    "sym_semipositive_implies_copositive": (_suite(25, _SIZES, _sym_semi_implies_cop), 200,
                                             "symmetric semi-positive implies copositive"),
-    "sym_almostE0_iff_almostC0": (_suite_sym_almost_iff, 200,
+    "sym_almostE0_iff_almostC0": (_suite(26, _SIZES, _sym_almost_iff), 200,
                                   "symmetric: almost E0 iff almost C0, almost E iff almost C"),
-    "almost_invariance": (_suite_almost_invariance, 200,
+    "almost_invariance": (_suite(27, _SIZES_SEEDED, _almost_invariance), 200,
                           "almost classes invariant under diagonal scalings and permutation"),
-    "almost_row_negative": (_suite_almost_rows, 200,
+    "almost_row_negative": (_suite(28, _SIZES_SEEDED, _almost_rows), 200,
                             "almost-class members have a negative entry in every row subtensor"),
-    "almost_entry_conditions": (_suite_almost_entries, 200,
+    "almost_entry_conditions": (_suite(29, _SIZES_SEEDED, _almost_entries), 200,
                                 "almost-class members satisfy the entry-sign conditions"),
-    "stabilizer": (_suite_stabilizer, 50,
+    "stabilizer": (_suite(30, _SIZES_SEEDED, _stabilizer), 50,
                    "adding the stabilizing diagonal gives an almost-E, completely-S0 tensor"),
-    "almost_E_trichotomy": (_suite_trichotomy, 200,
+    "almost_E_trichotomy": (_suite(31, _SIZES_SEEDED, _trichotomy, deep=True), 200,
                             "almost E implies almost E0 or E0"),
 }
 

@@ -4,10 +4,12 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
 failure) in addition to its assertions.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -240,6 +242,9 @@ def test_criterion_6_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         with open(out, "rb") as fh:
             outputs.append(fh.read())
+    pinned = Path(__file__).parent / "golden" / "verify_all_seed7.sha256"
+    want = [line for line in pinned.read_text().splitlines() if not line.startswith("#")][0]
     ok = outputs[0] == outputs[1] == outputs[2]
+    ok &= hashlib.sha256(outputs[0]).hexdigest() == want
     _report(6, "verify all --seed 7 byte-identical across two runs and "
-               "thread counts 1 and 8", ok)
+               "thread counts 1 and 8, and equal to the pinned sha256", ok)

@@ -215,8 +215,8 @@ class TestVerifyCommand:
         monkeypatch.setenv("TENCLASS_THREADS", "1")
         monkeypatch.setitem(CLASSES, "E0", lambda c: Verdict(FAILS, None, 0.0, 0, 0, None))
         out = tmp_path / "r.json"
-        # a recorded violation does not change the exit code
-        assert main(["--out", str(out), "verify", "dd_implies_E0", "--count", "2"]) == 0
+        # a recorded violation exits 2, as a fixture mismatch does
+        assert main(["--out", str(out), "verify", "dd_implies_E0", "--count", "2"]) == 2
         assert "2 violation(s) recorded" in capsys.readouterr().err
         report = json.loads(out.read_text())
         files = sorted((tmp_path / "violations").iterdir())

@@ -451,7 +451,7 @@ def _order_inputs(m, n):
     out = [Tensor(noise), Tensor(noise + 0.6), Tensor(0.5 * noise + (n - 0.5) * diagonal)]
     if n > 1:
         out.append(_gen_almost_e0(rng, m, n, None)[0])
-        out.append(_gen_z(rng, m, n, 0.98)[0])
+        out.append(_gen_z(rng, m, n, 0.98))
     return out
 
 

@@ -13,7 +13,14 @@ from tenclass import (
     run_fixtures,
     run_suite,
 )
-from tenclass.classifiers import CLASSES, Config, TensorClassifier, classify
+from tenclass.classifiers import (
+    CLASSES,
+    FACTS,
+    THEOREMS,
+    Config,
+    TensorClassifier,
+    classify,
+)
 from tenclass.subdivision import FAILS, INCONCLUSIVE, Verdict
 from tenclass.verify import SUITES, _gen_almost_e0, thread_count
 
@@ -118,8 +125,9 @@ class TestSuites:
 
 
 class TestTheoremTable:
-    """classify's cross-checks and the suites read the same rules, so a broken
-    class predicate shows up on both."""
+    """classify's cross-checks and the suites read the same rules, classes and
+    facts through ``TensorClassifier.status``, so a broken class predicate or
+    fact shows up on both."""
 
     @staticmethod
     def _inject(monkeypatch, status):
@@ -132,6 +140,22 @@ class TestTheoremTable:
         report = run_suite("dd_implies_E0", count=2, threads=1)
         assert [v["detail"] for v in report["violations"]] == ["dd_nonneg_diag_implies_E0"] * 2
         assert report["inconclusive"] == 0
+
+    def test_broken_fact_on_both_surfaces(self, monkeypatch):
+        monkeypatch.setitem(FACTS, "noNonnegRowSubtensor", lambda c: False)
+        report = run_suite("almost_row_negative", count=2, threads=1)
+        assert [v["detail"] for v in report["violations"]] == ["noNonnegRowSubtensor"] * 2
+        A = next(f.tensor for f in load_fixtures() if f.name == "almost_e0_construction")
+        assert "almostE0_row_subtensor_without_negative_entry" in classify(A).violations
+
+    def test_names_are_disjoint(self):
+        names = [*THEOREMS, *CLASSES, *FACTS]
+        assert len(names) == len(set(names))
+
+    def test_unknown_name_raises(self):
+        clf = TensorClassifier(generate(GeneratorSpec("nonneg", 3, 2))[0])
+        with pytest.raises(KeyError, match="no rule, class or fact"):
+            clf.status("noSuchName")
 
     def test_undecided_counts_inconclusive(self, monkeypatch):
         self._inject(monkeypatch, INCONCLUSIVE)
