@@ -406,14 +406,23 @@ class TensorClassifier:
     def is_completely_s0(self) -> Verdict:
         return self._completely(False)
 
-    def is_m_tensor(self, strong: bool = False) -> Verdict:
+    @cached_property
+    def _z_split(self):
+        """``(A, e, split, radius enclosure)`` of the unit-scale copy ``A = 2^-e``
+        times the tensor, or the reason it is not a Z-tensor; M and strong M
+        share it."""
         A, e = unit_scale(self.tensor)
         try:
             dec = z_decompose(A)
         except NotZTensorError as exc:
+            return str(exc)
+        return A, e, dec, spectral.spectral_radius_nonneg(dec.B)
+
+    def is_m_tensor(self, strong: bool = False) -> Verdict:
+        if isinstance(self._z_split, str):
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
-                           {"reason": "not_a_z_tensor", "detail": str(exc)})
-        enc = spectral.spectral_radius_nonneg(dec.B)
+                           {"reason": "not_a_z_tensor", "detail": self._z_split})
+        A, e, dec, enc = self._z_split
         tol = tolerance(A, self.config.epsilon)
         info = {"t": unscale(dec.t, e), "rho_lower": unscale(enc.lower, e),
                 "rho_upper": unscale(enc.upper, e), "rho_converged": enc.converged}

@@ -121,9 +121,10 @@ class Tensor:
     def from_coo(cls, order: int, dim: int, entries) -> "Tensor":
         """Build a tensor from ``[(index_tuple, value), ...]``; missing entries are 0.
 
-        Duplicate index tuples, and index components that are not integers
-        (a float, string or bool), are rejected so that fixture files stay
-        unambiguous.
+        Duplicate index tuples, index components that are not integers (a
+        float, string or bool) and values that are not numbers (a string, a
+        bool or an integer past the float range) are rejected so that fixture
+        files stay unambiguous.
         """
         if order < 1 or dim < 1:
             raise ValueError("order and dim must be positive")
@@ -138,7 +139,7 @@ class Tensor:
             if idx in seen:
                 raise ValueError(f"duplicate index {idx}")
             seen.add(idx)
-            data[idx] = float(value)
+            data[idx] = _number(value)
         return cls(data)
 
 
@@ -160,6 +161,16 @@ def _integers(idx) -> tuple[int, ...]:
     if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
         raise ValueError(f"index {list(idx)} has a non-integer component")
     return tuple(int(i) for i in idx)
+
+
+def _number(value) -> float:
+    """``value`` as a float; a string, a bool or an integer past the float range is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"entry value {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("an integer entry value does not fit in a float") from None
 
 
 def as_index_set(J, dim: int) -> tuple[int, ...]:

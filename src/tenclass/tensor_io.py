@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import Tensor
+from .core import Tensor, _number
 
 __all__ = [
     "parse_tensor",
@@ -52,13 +52,21 @@ def parse_tensor(obj) -> Tensor:
     try:
         if fmt == "coo":
             return Tensor.from_coo(order, dim, obj.get("entries", []))
-        arr = np.asarray(obj.get("entries", []), dtype=np.float64)
+        arr = np.asarray(_dense_numbers(obj.get("entries", [])), dtype=np.float64)
         if arr.shape == shape:
             return Tensor(arr)
     except (TypeError, ValueError) as exc:
         # Tensor makes the one finite-entry check, for both formats
         raise TensorFormatError(f"{fmt} entries: {exc}") from exc
     raise TensorFormatError(f"dense entries have shape {arr.shape}, expected {shape}")
+
+
+def _dense_numbers(entries):
+    """The nested dense lists with every leaf read as a COO value is; numpy
+    alone would turn a string or a bool into a float."""
+    if isinstance(entries, list):
+        return [_dense_numbers(e) for e in entries]
+    return _number(entries)
 
 
 def load_tensor(path) -> Tensor:

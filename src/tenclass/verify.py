@@ -421,12 +421,19 @@ def _suite_report(name: str, seed: int, config: Config, results: list) -> dict:
     }
 
 
+def _at_least_one(count: int) -> int:
+    # a suite of no instances would pass a gate that checked nothing
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return count
+
+
 def run_suite(name: str, seed: int = 0, count: int | None = None,
               config: Config | None = None, threads: int | None = None) -> dict:
     """Run one suite; the report is deterministic for fixed (seed, config)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    count = SUITES[name][1] if count is None else count
+    count = SUITES[name][1] if count is None else _at_least_one(count)
     config = config or Config()
     results = _run_instances([(name, i) for i in range(count)], seed, config, threads)
     return _suite_report(name, seed, config, results)
@@ -436,7 +443,7 @@ def run_all(seed: int = 0, count: int | None = None, config: Config | None = Non
             threads: int | None = None) -> dict:
     """Run every suite; the instances of all suites share one worker pool."""
     config = config or Config()
-    counts = {name: default if count is None else count
+    counts = {name: default if count is None else _at_least_one(count)
               for name, (_, default, _) in SUITES.items()}
     jobs = [(name, i) for name, c in counts.items() for i in range(c)]
     results = iter(_run_instances(jobs, seed, config, threads))
@@ -515,14 +522,11 @@ def _run_check(fixture: Fixture, check: dict) -> dict:
 
 def run_fixtures(config: Config | None = None) -> dict:
     """Evaluate every expected label and value check of the built-in corpus."""
-    import time
-
     config = config or Config()
     results = []
     all_ok = True
     any_inconclusive = False
     for fixture in load_fixtures():
-        start = time.perf_counter()
         clf = TensorClassifier(fixture.tensor, config)
         labels = []
         for cls_name, expected in fixture.expected.items():
@@ -544,7 +548,6 @@ def run_fixtures(config: Config | None = None) -> dict:
             "fixture": fixture.name,
             "labels": labels,
             "checks": checks,
-            "seconds": round(time.perf_counter() - start, 6),
         })
     return {
         "passed": all_ok,

@@ -1,10 +1,12 @@
 """Acceptance criteria, one test per criterion, with pinned tolerances.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
-failure) in addition to its assertions.
+failure) in addition to its assertions.  Criteria 2, 4 and 6 read one serial
+``tenclass --seed 7 verify all`` report, run once per module.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tenclass import (
     Tensor,
@@ -29,7 +32,6 @@ from tenclass import (
     max_abs,
     principal_subtensor,
     run_fixtures,
-    run_suite,
     spectral_radius_nonneg,
     standard_simplex,
     symmetrize,
@@ -56,9 +58,10 @@ def _fixture(name):
 
 def test_criterion_1_fixture_corpus():
     config = Config(epsilon=EPSILON, max_depth=MAX_DEPTH)
+    start = time.perf_counter()
     report = run_fixtures(config)
-    slow = [f["fixture"] for f in report["fixtures"] if f["seconds"] >= 2.0]
-    ok = report["passed"] and not report["inconclusive"] and not slow
+    elapsed = time.perf_counter() - start
+    ok = report["passed"] and not report["inconclusive"] and elapsed < 2.0
 
     # spot checks of the itemized values, straight through the core operations
     had = _fixture("hadamard_product").tensor
@@ -92,10 +95,37 @@ def test_criterion_1_fixture_corpus():
     v = TensorClassifier(dim3, config).is_almost_copositive(False)
     ok &= v.status == FAILS and v.info.get("subset") == (0, 1)
 
-    _report(1, "fixture corpus reproduced (labels, witnesses, exact values, < 2 s each)", ok)
+    _report(1, "fixture corpus reproduced (labels, witnesses, exact values, "
+               f"{elapsed:.2f} s < 2 s in all)", ok)
 
 
-def test_criterion_2_theorem_suites():
+def _verify_all(out, threads):
+    """Run ``tenclass --seed 7 verify all`` on ``threads`` workers in a child
+    process; return its exit code and wall time."""
+    env = dict(os.environ, TENCLASS_THREADS=threads)
+    # the child interpreter does not see pytest's pythonpath setting
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tenclass.cli", "--seed", str(SEED), "--out", str(out),
+         "verify", "all"],
+        env=env, capture_output=True, text=True, timeout=1800)
+    return proc.returncode, time.perf_counter() - start, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def seed7_run(tmp_path_factory):
+    """One serial ``verify all --seed 7`` run, read by criteria 2, 4 and 6."""
+    out = tmp_path_factory.mktemp("verify") / "verify_serial.json"
+    code, seconds, stderr = _verify_all(out, "1")
+    # exit 2 (an undecided instance or a violation) still writes the report
+    assert code != 1 and out.exists(), stderr
+    data = out.read_bytes()
+    return {"code": code, "seconds": seconds, "bytes": data, "report": json.loads(data)}
+
+
+def test_criterion_2_theorem_suites(seed7_run):
     suites = [
         "dd_implies_E0",
         "sdd_implies_E",
@@ -108,19 +138,20 @@ def test_criterion_2_theorem_suites():
         "almost_row_negative",
         "almost_entry_conditions",
     ]
-    start = time.perf_counter()
     ok = True
     for name in suites:
-        report = run_suite(name, seed=SEED, count=200)
+        report = seed7_run["report"]["suites"][name]
         violations = len(report["violations"])
         rate = report["inconclusive"] / report["instances"]
-        if violations or rate >= 0.05:
-            print(f"  suite {name}: violations={violations} inconclusive_rate={rate:.3f}")
+        if report["instances"] != 200 or violations or rate >= 0.05:
+            print(f"  suite {name}: instances={report['instances']} "
+                  f"violations={violations} inconclusive_rate={rate:.3f}")
             ok = False
-    elapsed = time.perf_counter() - start
+    # the run holds all 12 suites, so this bounds the 10 at least as tightly
+    elapsed = seed7_run["seconds"]
     ok &= elapsed < 600.0
     _report(2, f"10 theorem suites x 200 instances, zero violations, "
-               f"inconclusive < 5% ({elapsed:.0f}s)", ok)
+               f"inconclusive < 5% ({elapsed:.0f}s for all 12 suites)", ok)
 
 
 def test_criterion_3_spectral():
@@ -164,9 +195,10 @@ def test_criterion_3_spectral():
                "almost-class fixtures with negative eigenvalues", ok)
 
 
-def test_criterion_4_stabilizer():
-    report = run_suite("stabilizer", seed=SEED, count=50)
-    ok = not report["violations"] and report["inconclusive"] == 0
+def test_criterion_4_stabilizer(seed7_run):
+    report = seed7_run["report"]["suites"]["stabilizer"]
+    ok = report["instances"] == 50 and not report["violations"]
+    ok &= report["inconclusive"] == 0
     _report(4, "50 stabilized tensors: almost-E and completely-S0 in 100% of cases, "
                "image norm <= 1e-10", ok)
 
@@ -226,25 +258,13 @@ def test_criterion_5_engine_soundness():
                "cross-validation agrees with every fixture verdict", ok)
 
 
-def test_criterion_6_determinism(tmp_path):
-    env = dict(os.environ)
-    # the child interpreter does not see pytest's pythonpath setting
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    outputs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
-        out = str(tmp_path / f"verify_{tag}.json")
-        env["TENCLASS_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "tenclass.cli", "--seed", "7", "--out", out,
-             "verify", "all"],
-            env=env, capture_output=True, text=True, timeout=1800)
-        assert proc.returncode == 0, proc.stderr
-        with open(out, "rb") as fh:
-            outputs.append(fh.read())
+def test_criterion_6_determinism(seed7_run, tmp_path):
+    out = tmp_path / "verify_pooled.json"
+    code, _, stderr = _verify_all(out, "8")
+    assert seed7_run["code"] == 0 and code == 0, stderr
     pinned = Path(__file__).parent / "golden" / "verify_all_seed7.sha256"
     want = [line for line in pinned.read_text().splitlines() if not line.startswith("#")][0]
-    ok = outputs[0] == outputs[1] == outputs[2]
-    ok &= hashlib.sha256(outputs[0]).hexdigest() == want
-    _report(6, "verify all --seed 7 byte-identical across two runs and "
-               "thread counts 1 and 8, and equal to the pinned sha256", ok)
+    ok = seed7_run["bytes"] == out.read_bytes()
+    ok &= hashlib.sha256(seed7_run["bytes"]).hexdigest() == want
+    _report(6, "verify all --seed 7 byte-identical with one worker and with "
+               "TENCLASS_THREADS=8, and equal to the pinned sha256", ok)

@@ -35,6 +35,7 @@ from tenclass import (
     symmetrize,
     z_decompose,
 )
+from tenclass import spectral
 from tenclass.classifiers import (
     CLASS_NAMES,
     Config,
@@ -148,6 +149,18 @@ class TestMTensor:
         v = is_m_tensor(B)
         assert v.status == FAILS
         assert v.info["reason"] == "not_a_z_tensor"
+
+    def test_one_radius_enclosure_per_classify(self, monkeypatch):
+        # M and strong M read one split of the tensor and one enclosure of its radius
+        calls = []
+        enclose = spectral.spectral_radius_nonneg
+        monkeypatch.setattr(spectral, "spectral_radius_nonneg",
+                            lambda B, *a, **k: calls.append(B) or enclose(B, *a, **k))
+        n, m = 2, 3
+        A = Tensor(float(n ** (m - 1)) * Tensor.identity(m, n).data - np.ones((n,) * m))
+        report = classify(A)
+        assert len(calls) == 1
+        assert report.verdicts["M"].info == report.verdicts["strongM"].info
 
 
 class TestSemiPositive:

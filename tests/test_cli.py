@@ -115,6 +115,20 @@ class TestClassifyCommand:
         assert not out.exists()
         assert "'order' must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,entries", [
+        ("coo", "[[[0, 0, 0], 1{z}]]"),
+        ("dense", "[[[1{z}, 0], [0, 1]], [[0, 0], [0, 1]]]"),
+    ], ids=["coo", "dense"])
+    def test_integer_past_the_float_range_rejected(self, tmp_path, capsys, fmt, entries):
+        text = entries.format(z="0" * 400)  # a 401-digit JSON integer
+        f = write_tensor(tmp_path / "huge.json",
+                         f'{{"order": 3, "dim": 2, "format": "{fmt}", "entries": {text}}}')
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "classify", f]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_json(self, tmp_path, capsys):
         f = write_tensor(tmp_path / "bad.json", "{not json")
         assert main(["classify", f]) == 1
@@ -204,6 +218,15 @@ class TestVerifyCommand:
         assert main(args[:2] + ["--out", str(out1)] + args[2:]) == 0
         assert main(args[:2] + ["--out", str(out2)] + args[2:]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("suite", ["dd_implies_E0", "all"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, suite, count):
+        # a report of no instances would pass a gate that checked nothing
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out), "verify", suite, "--count", count]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: count must be at least 1\n"
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -49,6 +49,27 @@ def test_parse_rejects_malformed_dense(entries):
         parse_tensor({"order": 2, "dim": 2, "format": "dense", "entries": entries})
 
 
+HUGE_INT = 10 ** 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("fmt,entries", [
+    ("coo", [[[0, 0, 0], "1.5"]]),
+    ("coo", [[[0, 0, 0], True]]),
+    ("coo", [[[0, 0, 0], None]]),
+    ("coo", [[[0, 0, 0], HUGE_INT]]),
+    ("dense", [[["1", "2"], ["3", "4"]]] * 2),
+    ("dense", [[[True, False], [False, True]]] * 2),
+    ("dense", [[[1.5, True], [0.0, 1.0]]] * 2),
+    ("dense", [[[1.5, "2"], [0.0, 1.0]]] * 2),
+    ("dense", [[[HUGE_INT, 0], [0, 1]]] * 2),
+], ids=["coo-string", "coo-bool", "coo-null", "coo-huge-int", "dense-strings",
+        "dense-bools", "dense-mixed-bool", "dense-mixed-string", "dense-huge-int"])
+def test_parse_rejects_entry_values_that_are_not_numbers(fmt, entries):
+    # numpy would read "1.5" and True as floats, and overflow on the integer
+    with pytest.raises(TensorFormatError, match=f"{fmt} entries: .*entry value"):
+        parse_tensor({"order": 3, "dim": 2, "format": fmt, "entries": entries})
+
+
 def test_parse_rejects_unknown_format():
     with pytest.raises(TensorFormatError, match="unknown format"):
         parse_tensor({"order": 2, "dim": 2, "format": "csr", "entries": []})

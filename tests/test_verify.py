@@ -176,6 +176,10 @@ class TestFixtureCorpus:
         assert report["passed"]
         assert not report["inconclusive"]
 
+    def test_report_is_deterministic(self):
+        # no wall time in the report: two runs serialize to equal bytes
+        assert canonical_dumps(run_fixtures()) == canonical_dumps(run_fixtures())
+
     def test_expected_labels_use_known_classes(self):
         from tenclass.classifiers import CLASS_NAMES
 
