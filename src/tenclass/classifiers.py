@@ -261,7 +261,7 @@ def _memo(cache: dict, key, compute):
 
 
 class TensorClassifier:
-    """Caches per-subset engine decisions so the class predicates share work."""
+    """Caches per-subset engine decisions so the ``CLASSES`` rows share work."""
 
     def __init__(self, A: Tensor, config: Config | None = None):
         if A.order < 2:
@@ -319,7 +319,7 @@ class TensorClassifier:
         return _memo(self._feasible, (J, strict), lambda: search_nonneg_solution(
             self.subtensor(J), strict, cfg.epsilon, cfg.max_depth))
 
-    # -- class predicates ----------------------------------------------------
+    # -- scans the ``CLASSES`` rows call --------------------------------------
 
     def _scan(self, decide, fail_info, almost: str | None = None) -> Verdict:
         """Decide the nonempty subsets, sizes ascending and the full set last, up
@@ -358,12 +358,6 @@ class TensorClassifier:
                            {"undecided_subsets": pending})
         return Verdict(HOLDS, v.witness, eps, nodes, depth, worst, dict(v.info))
 
-    def is_semi_positive(self, strict: bool = False) -> Verdict:
-        """Semi-positive (strictly, if asked): no principal subtensor maps a
-        positive vector to an all-negative (all-nonpositive) image."""
-        return self._scan(lambda J: self.component_decision(J, not strict),
-                          lambda J, v: {"subset": J, **dict(v.info)})
-
     def _almost(self, decide, reason: str) -> Verdict:
         """Every proper principal subtensor stays in the class, the full tensor leaves it.
 
@@ -378,34 +372,6 @@ class TensorClassifier:
         return self._scan(decide, lambda J, v: {"reason": "proper_subtensor_leaves_class",
                                                 "subset": J}, reason)
 
-    def is_almost_semi_positive(self, strict: bool = False) -> Verdict:
-        """Every proper principal subtensor in the class, while some ``x > 0``
-        leaves the full tensor (the verdict carries that ``x``)."""
-        return self._almost(lambda J: self.component_decision(J, not strict),
-                            "no_interior_witness")
-
-    def is_copositive(self, strict: bool = False) -> Verdict:
-        return self.form_decision(self._full, strict)
-
-    def is_almost_copositive(self, strict: bool = False) -> Verdict:
-        return self._almost(lambda J: self.form_decision(J, strict), "tensor_is_copositive")
-
-    def is_s_tensor(self) -> Verdict:
-        return self.feasibility_decision(self._full, True)
-
-    def is_s0_tensor(self) -> Verdict:
-        return self.feasibility_decision(self._full, False)
-
-    def _completely(self, strict: bool) -> Verdict:
-        return self._scan(lambda J: self.feasibility_decision(J, strict),
-                          lambda J, v: {"subset": J, "reason": "subtensor_has_no_solution"})
-
-    def is_completely_s(self) -> Verdict:
-        return self._completely(True)
-
-    def is_completely_s0(self) -> Verdict:
-        return self._completely(False)
-
     @cached_property
     def _z_split(self):
         """``(A, e, split, radius enclosure)`` of the unit-scale copy ``A = 2^-e``
@@ -418,7 +384,7 @@ class TensorClassifier:
             return str(exc)
         return A, e, dec, spectral.spectral_radius_nonneg(dec.B)
 
-    def is_m_tensor(self, strong: bool = False) -> Verdict:
+    def _m(self, strong: bool) -> Verdict:
         if isinstance(self._z_split, str):
             return Verdict(FAILS, None, self.config.epsilon, 0, 0, None,
                            {"reason": "not_a_z_tensor", "detail": self._z_split})
@@ -457,26 +423,38 @@ def _trivial(flag: bool) -> Verdict:
     return Verdict(_truth(flag), None, 0.0, 0, 0, None)
 
 
-# every class and its predicate on a TensorClassifier; the order is the order
-# of evaluation and of the report keys, part of the external interface
+def _subset_info(J, v) -> dict:
+    return {"subset": J, **dict(v.info)}
+
+
+def _no_solution(J, v) -> dict:
+    return {"subset": J, "reason": "subtensor_has_no_solution"}
+
+
+# every class and the one place it is decided, read through
+# ``TensorClassifier.verdict``; the order is the order of evaluation and of the
+# report keys, part of the external interface.  E0 (E) fails on an x > 0 with an
+# all-negative (all-nonpositive) image, so its engine search is strict (not strict).
 CLASSES = {
-    "E0": lambda c: c.is_semi_positive(False),
-    "E": lambda c: c.is_semi_positive(True),
-    "almostE0": lambda c: c.is_almost_semi_positive(False),
-    "almostE": lambda c: c.is_almost_semi_positive(True),
-    "C0": lambda c: c.is_copositive(False),
-    "C": lambda c: c.is_copositive(True),
-    "almostC0": lambda c: c.is_almost_copositive(False),
-    "almostC": lambda c: c.is_almost_copositive(True),
+    "E0": lambda c: c._scan(lambda J: c.component_decision(J, True), _subset_info),
+    "E": lambda c: c._scan(lambda J: c.component_decision(J, False), _subset_info),
+    "almostE0": lambda c: c._almost(lambda J: c.component_decision(J, True),
+                                    "no_interior_witness"),
+    "almostE": lambda c: c._almost(lambda J: c.component_decision(J, False),
+                                   "no_interior_witness"),
+    "C0": lambda c: c.form_decision(c._full, False),
+    "C": lambda c: c.form_decision(c._full, True),
+    "almostC0": lambda c: c._almost(lambda J: c.form_decision(J, False), "tensor_is_copositive"),
+    "almostC": lambda c: c._almost(lambda J: c.form_decision(J, True), "tensor_is_copositive"),
     "Z": lambda c: is_z_tensor(c.tensor),
-    "M": lambda c: c.is_m_tensor(False),
-    "strongM": lambda c: c.is_m_tensor(True),
+    "M": lambda c: c._m(False),
+    "strongM": lambda c: c._m(True),
     "diagDominant": lambda c: is_diag_dominant(c.tensor, False),
     "strictDiagDominant": lambda c: is_diag_dominant(c.tensor, True),
-    "S": lambda c: c.is_s_tensor(),
-    "S0": lambda c: c.is_s0_tensor(),
-    "completelyS": lambda c: c.is_completely_s(),
-    "completelyS0": lambda c: c.is_completely_s0(),
+    "S": lambda c: c.feasibility_decision(c._full, True),
+    "S0": lambda c: c.feasibility_decision(c._full, False),
+    "completelyS": lambda c: c._scan(lambda J: c.feasibility_decision(J, True), _no_solution),
+    "completelyS0": lambda c: c._scan(lambda J: c.feasibility_decision(J, False), _no_solution),
     "nonneg": lambda c: _trivial(is_nonneg(c.tensor)),
     "positive": lambda c: _trivial(is_positive(c.tensor)),
 }
@@ -588,45 +566,45 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers
+# module-level shorthands for ``TensorClassifier(A, config).verdict(name)``
 
 
 def is_semi_positive(A: Tensor, strict: bool = False, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_semi_positive(strict)
+    return TensorClassifier(A, config).verdict("E" if strict else "E0")
 
 
 def is_almost_semi_positive(A: Tensor, strict: bool = False,
                             config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_almost_semi_positive(strict)
+    return TensorClassifier(A, config).verdict("almostE" if strict else "almostE0")
 
 
 def is_copositive(A: Tensor, strict: bool = False, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_copositive(strict)
+    return TensorClassifier(A, config).verdict("C" if strict else "C0")
 
 
 def is_almost_copositive(A: Tensor, strict: bool = False,
                          config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_almost_copositive(strict)
+    return TensorClassifier(A, config).verdict("almostC" if strict else "almostC0")
 
 
 def is_s_tensor(A: Tensor, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_s_tensor()
+    return TensorClassifier(A, config).verdict("S")
 
 
 def is_s0_tensor(A: Tensor, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_s0_tensor()
+    return TensorClassifier(A, config).verdict("S0")
 
 
 def is_completely_s(A: Tensor, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_completely_s()
+    return TensorClassifier(A, config).verdict("completelyS")
 
 
 def is_completely_s0(A: Tensor, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_completely_s0()
+    return TensorClassifier(A, config).verdict("completelyS0")
 
 
 def is_m_tensor(A: Tensor, strong: bool = False, config: Config | None = None) -> Verdict:
-    return TensorClassifier(A, config).is_m_tensor(strong)
+    return TensorClassifier(A, config).verdict("strongM" if strong else "M")
 
 
 def classify(A: Tensor, config: Config | None = None) -> ClassificationReport:

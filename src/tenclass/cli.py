@@ -160,8 +160,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, Config(args.epsilon, args.max_depth, args.subset_cap))
-    except (ValueError, OSError) as exc:
-        # every usage error (a bad option, file, tensor or report) ends here
+    except (ValueError, OSError, MemoryError, RecursionError) as exc:
+        # every usage error (a bad option, file, tensor or report, or one too
+        # deep to decode or too large to allocate) ends here
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

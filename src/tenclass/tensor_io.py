@@ -34,10 +34,18 @@ class TensorFormatError(ValueError):
     """Raised when a tensor file does not match the documented schema."""
 
 
+# the keys of a tensor document; any other, a misspelt "entries" say, is an error
+_KEYS = ("order", "dim", "format", "entries")
+
+
 def parse_tensor(obj) -> Tensor:
     """Build a :class:`Tensor` from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise TensorFormatError("tensor document must be a JSON object")
+    unknown = [key for key in obj if key not in _KEYS]
+    if unknown:
+        raise TensorFormatError(f"unknown key {unknown[0]!r} in tensor document; "
+                                f"the keys are {', '.join(_KEYS)}")
     order, dim = obj.get("order"), obj.get("dim")
     if type(order) is not int or type(dim) is not int:  # no float, string or bool
         raise TensorFormatError("missing or malformed 'order'/'dim'")

@@ -51,8 +51,9 @@ __all__ = [
 
 # (order, dim) sweep for suite instances
 _SIZES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4))
-# seeded almost-instances skip (4, 4): rejection sampling there is too slow
-# for a 200-instance batch
+# seeded almost-instances repeat (4, 2) in place of (4, 4) only because the
+# seed-7 report is pinned: sampling at (4, 4) takes milliseconds, but putting
+# it back changes which instances the suites draw, and so that report
 _SIZES_SEEDED = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 2))
 
 
@@ -509,13 +510,11 @@ def _run_check(fixture: Fixture, check: dict) -> dict:
     if check["op"] == "apply":
         got = apply(T, x)
         expected = np.asarray(check["expected"], dtype=np.float64)
-        ok = bool(np.array_equal(got, expected)) if check.get("exact") \
-            else bool(np.allclose(got, expected, rtol=0, atol=1e-12))
+        ok = bool(np.array_equal(got, expected))
         return {"op": "apply", "ok": ok, "got": [float(v) for v in got]}
     if check["op"] == "form":
         got = form_value(T, x)
-        expected = float(check["expected"])
-        ok = got == expected if check.get("exact") else abs(got - expected) <= 1e-12
+        ok = got == float(check["expected"])
         return {"op": "form", "ok": ok, "got": float(got)}
     raise ValueError(f"unknown check op {check['op']!r}")
 

@@ -72,7 +72,7 @@ def test_criterion_1_fixture_corpus():
 
     sbar = _fixture("sbar_not_strictly_semipositive").tensor
     ok &= np.array_equal(apply(sbar, [1.0, 1.0]), [0.0, 0.0])
-    sol = TensorClassifier(sbar, config).is_completely_s()
+    sol = TensorClassifier(sbar, config).verdict("completelyS")
     ok &= sol.status == HOLDS and float(np.min(apply(sbar, sol.witness))) > 0.0
 
     almost_e = _fixture("almost_e_construction").tensor
@@ -80,8 +80,8 @@ def test_criterion_1_fixture_corpus():
 
     both = _fixture("almost_e_and_e0").tensor
     clf = TensorClassifier(both, config)
-    ok &= clf.is_almost_semi_positive(True).status == HOLDS
-    ok &= clf.is_semi_positive(False).status == HOLDS
+    ok &= clf.verdict("almostE").status == HOLDS
+    ok &= clf.verdict("E0").status == HOLDS
 
     almost_c = _fixture("almost_copositive_construction").tensor
     ok &= form_value(almost_c, [1.0, 1.0]) == -3.0
@@ -92,7 +92,7 @@ def test_criterion_1_fixture_corpus():
     dim3 = _fixture("almost_e0_dim3_not_almost_c0").tensor
     sub = principal_subtensor(dim3, [0, 1])
     ok &= form_value(sub, [1.0, 1.0]) == -1.0
-    v = TensorClassifier(dim3, config).is_almost_copositive(False)
+    v = TensorClassifier(dim3, config).verdict("almostC0")
     ok &= v.status == FAILS and v.info.get("subset") == (0, 1)
 
     _report(1, "fixture corpus reproduced (labels, witnesses, exact values, "
@@ -174,7 +174,7 @@ def test_criterion_3_spectral():
         if fixture.expected.get("almostE0") != "Holds":
             continue
         S = fixture.tensor if is_symmetric(fixture.tensor) else symmetrize(fixture.tensor)
-        if not TensorClassifier(S, config).is_almost_semi_positive(False).holds:
+        if not TensorClassifier(S, config).verdict("almostE0").holds:
             continue
         pair = find_negative_hpp_eigenpair(S, tol=1e-8)
         ok &= pair is not None and pair.lam < 0.0 and pair.residual <= 1e-8
@@ -186,7 +186,7 @@ def test_criterion_3_spectral():
         if fixture.expected.get("almostE") != "Holds":
             continue
         S = fixture.tensor if is_symmetric(fixture.tensor) else symmetrize(fixture.tensor)
-        if not TensorClassifier(S, config).is_almost_semi_positive(True).holds:
+        if not TensorClassifier(S, config).verdict("almostE").holds:
             continue
         pair = find_negative_hpp_eigenpair(S, tol=1e-8, nonpositive=True)
         ok &= pair is not None and pair.lam <= 1e-8

@@ -199,7 +199,7 @@ class TestSemiPositive:
         for _ in range(25):
             A = Tensor(rng.uniform(-1, 1, (2, 2, 2)))
             for strict in (False, True):
-                v = TensorClassifier(A, cfg).is_semi_positive(strict)
+                v = TensorClassifier(A, cfg).verdict("E" if strict else "E0")
                 assert v.decisive
                 if v.holds:
                     assert grid_is_semipositive(A.data, strict)
@@ -334,7 +334,7 @@ class TestSubsetScan:
         c = _scripted("component_decision", {
             (0,): _decided(HOLDS, -1.0),
             (1,): _decided(FAILS, -0.25, [1.0], {"witness_margin": 0.5})})
-        v = c.is_semi_positive()
+        v = c.verdict("E0")
         assert (v.status, v.worst_bound, v.nodes) == (FAILS, -1.0, 2)
         assert v.witness.tolist() == [0.0, 1.0]
         assert dict(v.info) == {"subset": (1,), "witness_margin": 0.5}
@@ -343,7 +343,7 @@ class TestSubsetScan:
         c = _scripted("component_decision", {
             (0,): _decided(HOLDS, -3.0), (1,): _decided(HOLDS, 0.5),
             (0, 1): _decided(FAILS, -2.0, [0.4, 0.6], {"witness_margin": 0.1})})
-        v = c.is_almost_semi_positive()
+        v = c.verdict("almostE0")
         assert (v.status, v.worst_bound, v.nodes) == (HOLDS, -3.0, 3)
         assert v.witness.tolist() == [0.4, 0.6]
         assert dict(v.info) == {"witness_margin": 0.1}
@@ -352,7 +352,7 @@ class TestSubsetScan:
         c = _scripted("form_decision", {
             (0,): _decided(HOLDS, 1.0), (1,): _decided(INCONCLUSIVE, 0.5),
             (0, 1): _decided(HOLDS, 2.0)})
-        v = c.is_almost_copositive()
+        v = c.verdict("almostC0")
         assert (v.status, v.witness, v.worst_bound) == (FAILS, None, 0.5)
         assert dict(v.info) == {"reason": "tensor_is_copositive"}
 
@@ -360,7 +360,7 @@ class TestSubsetScan:
         c = _scripted("form_decision", {
             (0,): _decided(HOLDS, 1.0), (1,): _decided(HOLDS, 2.0),
             (0, 1): _decided(INCONCLUSIVE, -0.5, info={"limit": "max_depth"})})
-        v = c.is_almost_copositive()
+        v = c.verdict("almostC0")
         assert (v.status, v.worst_bound) == (INCONCLUSIVE, -0.5)
         assert dict(v.info) == {"undecided_subsets": [(0, 1)]}
 
@@ -368,7 +368,7 @@ class TestSubsetScan:
         c = _scripted("feasibility_decision", {
             (0,): _decided(HOLDS, 1.0, [1.0]), (1,): _decided(HOLDS, 0.5, [1.0]),
             (0, 1): _decided(HOLDS, 2.0, [0.5, 0.5], {"solution_margin": 1.5})})
-        v = c.is_completely_s()
+        v = c.verdict("completelyS")
         assert (v.status, v.worst_bound) == (HOLDS, 0.5)
         assert v.witness.tolist() == [0.5, 0.5]
         assert dict(v.info) == {"solution_margin": 1.5}
@@ -378,13 +378,13 @@ class TestSubsetScan:
             (0,): _decided(HOLDS, 3.0, [1.0]),
             (1,): _decided(INCONCLUSIVE, -1.0, info={"limit": "max_depth"}),
             (0, 1): _decided(HOLDS, 2.0, [0.5, 0.5])})
-        v = c.is_completely_s0()
+        v = c.verdict("completelyS0")
         assert (v.status, v.witness, v.worst_bound) == (INCONCLUSIVE, None, -1.0)
         assert dict(v.info) == {"undecided_subsets": [(1,)]}
 
     def test_real_completely_s_bound_is_the_subset_minimum(self, hadamard_pair):
         c = TensorClassifier(hadamard_pair[1])
-        v = c.is_completely_s()
+        v = c.verdict("completelyS")
         assert v.holds
         bounds = [c.feasibility_decision(J, True).worst_bound for J in ((0,), (1,), (0, 1))]
         assert v.worst_bound == min(bounds) < bounds[-1]
@@ -515,6 +515,45 @@ class TestClassify:
     def test_all_decisive_flag(self, almost_c_tensor):
         report = classify(almost_c_tensor)
         assert report.all_decisive
+
+
+# every module-level predicate and the ``CLASSES`` row it is a shorthand for
+_SHORTHANDS = [
+    pytest.param(fn, kwargs, name, id=name) for fn, kwargs, name in (
+        (is_semi_positive, {}, "E0"),
+        (is_semi_positive, {"strict": True}, "E"),
+        (is_almost_semi_positive, {}, "almostE0"),
+        (is_almost_semi_positive, {"strict": True}, "almostE"),
+        (is_copositive, {}, "C0"),
+        (is_copositive, {"strict": True}, "C"),
+        (is_almost_copositive, {}, "almostC0"),
+        (is_almost_copositive, {"strict": True}, "almostC"),
+        (is_z_tensor, {}, "Z"),
+        (is_m_tensor, {}, "M"),
+        (is_m_tensor, {"strong": True}, "strongM"),
+        (is_diag_dominant, {}, "diagDominant"),
+        (is_diag_dominant, {"strict": True}, "strictDiagDominant"),
+        (is_s_tensor, {}, "S"),
+        (is_s0_tensor, {}, "S0"),
+        (is_completely_s, {}, "completelyS"),
+        (is_completely_s0, {}, "completelyS0"),
+    )
+]
+
+
+class TestOnePath:
+    """Each class is decided by its ``CLASSES`` row alone, read through ``verdict``."""
+
+    @pytest.mark.parametrize("fn, kwargs, name", _SHORTHANDS)
+    def test_predicate_is_its_row(self, fn, kwargs, name):
+        fixtures = load_fixtures()
+        assert len(fixtures) == 18
+        for fixture in fixtures:
+            A = fixture.tensor
+            assert fn(A, **kwargs).to_json() == TensorClassifier(A).verdict(name).to_json()
+
+    def test_classifier_has_no_other_entry(self):
+        assert [a for a in dir(TensorClassifier) if a.startswith("is_")] == []
 
 
 @st.composite

@@ -158,6 +158,31 @@ class TestErrorExit:
         assert not out.exists()
         assert "error: cannot serialize non-finite float" in capsys.readouterr().err
 
+    # numpy refuses an order-40, dim-2 array (8 TiB) outright
+    @pytest.mark.parametrize("text,command", [
+        ('{"order": 3, "dim": 2, "format": "dense", "entries": '
+         + "[" * 3000 + "]" * 3000 + "}", ["classify"]),
+        ('{"order": 40, "dim": 2, "entries": []}', ["classify"]),
+        (None, ["gen", "--kind", "nonneg", "--order", "40", "--dim", "2"]),
+    ], ids=["classify-too-deep", "classify-too-large", "gen-too-large"])
+    def test_too_deep_or_too_large(self, tmp_path, capsys, text, command):
+        out = tmp_path / "out"
+        if text is not None:
+            command = [*command, write_tensor(tmp_path / "t.json", text)]
+        assert main(["--out", str(out), *command]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        f = write_tensor(tmp_path / "typo.json", '{"order": 3, "dim": 2, '
+                                                 '"entires": [[[0, 0, 0], -1.0]]}')
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "classify", f]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'entires'") and err.count("\n") == 1
+
 
 class TestSpectralCommand:
     def test_radius(self, tmp_path):

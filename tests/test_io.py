@@ -86,6 +86,20 @@ def test_parse_rejects_missing_header():
         parse_tensor({"dim": 2})
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"order": 3, "dim": 2, "entires": [[[0, 0, 0], -1.0]]}, "entires"),
+    ({"order": 3, "dim": 2, "format": "coo", "entries": [], "scale": 2.0}, "scale"),
+], ids=["misspelt-entries", "extra-key"])
+def test_parse_rejects_unknown_keys(doc, key):
+    # read past, a misspelt "entries" would give the zero tensor
+    with pytest.raises(TensorFormatError, match=f"unknown key '{key}'"):
+        parse_tensor(doc)
+
+
+def test_entries_key_is_optional():
+    assert parse_tensor({"order": 3, "dim": 2}) == Tensor.zeros(3, 2)
+
+
 @pytest.mark.parametrize("header,index", [
     ({"order": 2.7, "dim": 2}, [0, 1]),
     ({"order": 3, "dim": 2.0}, [0, 1, 0]),

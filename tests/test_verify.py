@@ -58,7 +58,7 @@ class TestGenerators:
     def test_seeded_almost_kind(self):
         cfg = Config()
         for A in generate(GeneratorSpec("almostE0Seeded", 3, 2, count=4, seed=3), cfg):
-            assert TensorClassifier(A, cfg).is_almost_semi_positive(False).holds
+            assert TensorClassifier(A, cfg).verdict("almostE0").holds
 
     def test_seeded_generator_returns_valid_witness(self):
         cfg = Config()
