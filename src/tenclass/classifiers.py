@@ -330,16 +330,17 @@ class TensorClassifier:
         the witness, embedded in the full index set, and ``fail_info(J, v)``.
         With an ``almost`` reason the full set must leave the class instead: if
         it Holds, the verdict Fails with ``{"reason": almost}``.  Else the
-        verdict is Inconclusive, listing the undecided subsets, or Holds with the
-        full set's witness and info.  Whatever the status, ``worst_bound`` is the
-        least root bound among the subsets scanned, undecided ones included, and
-        None when one of those does not fit in a float.
+        verdict is Inconclusive, listing the undecided subsets and, aligned with
+        them, the ``limits`` their searches hit; or Holds with the full set's
+        witness and info.  Whatever the status, ``worst_bound`` is the least
+        root bound among the subsets scanned, undecided ones included, and None
+        when one of those does not fit in a float.
         """
         n = self.tensor.dim
         eps = self.config.epsilon
         nodes = depth = 0
         worst = np.inf  # None once a scanned bound does not fit in a float
-        pending = []
+        pending, limits = [], []
         for J in _nonempty_subsets(n):
             v = decide(J)
             nodes += v.nodes
@@ -347,6 +348,7 @@ class TensorClassifier:
             worst = None if None in (worst, v.worst_bound) else min(worst, v.worst_bound)
             if v.status == INCONCLUSIVE:
                 pending.append(J)
+                limits.append(v.info.get("limit"))
             elif almost and J == self._full:
                 if v.status == HOLDS:
                     return Verdict(FAILS, None, eps, nodes, depth, worst, {"reason": almost})
@@ -355,7 +357,7 @@ class TensorClassifier:
                 return Verdict(FAILS, witness, eps, nodes, depth, worst, fail_info(J, v))
         if pending:
             return Verdict(INCONCLUSIVE, None, eps, nodes, depth, worst,
-                           {"undecided_subsets": pending})
+                           {"undecided_subsets": pending, "limits": limits})
         return Verdict(HOLDS, v.witness, eps, nodes, depth, worst, dict(v.info))
 
     def _almost(self, decide, reason: str) -> Verdict:
@@ -377,11 +379,13 @@ class TensorClassifier:
         """``(A, e, split, radius enclosure)`` of the unit-scale copy ``A = 2^-e``
         times the tensor, or the reason it is not a Z-tensor; M and strong M
         share it."""
+        # the sign test reads the tensor: the copy may round a positive
+        # subnormal entry to 0
+        z = is_z_tensor(self.tensor)
+        if not z.holds:
+            return f"positive off-diagonal entry at {z.info['positive_offdiagonal_at']}"
         A, e = unit_scale(self.tensor)
-        try:
-            dec = z_decompose(A)
-        except NotZTensorError as exc:
-            return str(exc)
+        dec = z_decompose(A)
         return A, e, dec, spectral.spectral_radius_nonneg(dec.B)
 
     def _m(self, strong: bool) -> Verdict:

@@ -362,9 +362,11 @@ def unit_scale(A: Tensor) -> tuple[Tensor, int]:
     lies in [1/2, 1) (``e = 0`` for the zero tensor).
 
     Every class is a cone and scaling by a power of two is exact in binary
-    floating point (an entry it pushes below the normal range is rounded, but
-    lies below every tolerance), so a decision made on the copy is the
-    decision on ``A``; and no convex combination of its entries can overflow.
+    floating point, except that an entry it pushes below the normal range is
+    rounded, so a decision made on the copy with a tolerance is the decision
+    on ``A``; and no convex combination of its entries can overflow.  An
+    exact sign test must read ``A`` itself: the rounding may take a subnormal
+    entry to 0.
     """
     e = math.frexp(max_abs(A))[1]
     return (A if e == 0 else Tensor(np.ldexp(A.data, -e))), e

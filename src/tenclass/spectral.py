@@ -21,6 +21,7 @@ from .core import (
     apply,
     apply_jacobian,
     as_vector,
+    diag,
     falls_short,
     form_value,
     is_symmetric,
@@ -102,9 +103,11 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
     irreducible.  There ``x <- normalize((B x^{m-1} + s x^{[m-1]}) ** (1/(m-1)))``,
     with ``s`` the block's largest entry, converges from the all-ones start, and
     the quotients ``(B x^{m-1})_i / x_i^{m-1}`` at each iterate sandwich the
-    block's radius.  ``tol`` is the width relative to the upper end;
-    ``max_iter`` caps all blocks' iterations together (each iterating block
-    makes at least one).
+    block's radius.  An iterate with an underflowed coordinate has no quotient
+    there, so the block stops at the iterate before it; the lower end is at
+    least the largest diagonal entry.  ``tol`` is the width relative to the
+    upper end; ``max_iter`` caps all blocks' iterations together (each
+    iterating block makes at least one).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -135,9 +138,9 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
         else:
             shift = float(block.data.max())
             lo, hi, x = 0.0, np.inf, np.full(len(J), 1.0 / len(J))
+            xm = x ** power
             while True:
                 u = apply(block, x)
-                xm = x ** power
                 q = u / xm
                 lo, hi = max(lo, float(q.min())), min(hi, float(q.max()))
                 iters += 1
@@ -145,7 +148,13 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
                     break
                 y = (u + shift * xm) ** (1.0 / power)
                 x = y / y.sum()
+                xm = x ** power
+                if not xm.all():  # an underflowed coordinate has no quotient
+                    break
         lower, upper = max(lower, lo), max(upper, hi)
+    # rho(B) is at least the radius of each principal subtensor, the 1 x 1
+    # ones included, so a block stopped short still bounds it from below
+    lower = max(lower, float(diag(B).max()))
     return RadiusEnclosure(lower, upper, iters, converged=upper - lower <= tol * upper)
 
 

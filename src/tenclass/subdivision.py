@@ -237,19 +237,22 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.array([max(x - theta, 0.0) + floor for x in z])
 
 
-def _polish_descent(y0, project, value_fn, grad_fn, min_decrease):
+def _polish_descent(y0, project, value_fn, grad_fn, min_decrease, target=None):
     """Projected local descent with backtracking (factor 0.5) on a value.
 
     ``project`` maps a point back onto the feasible set, ``value_fn(y)``
     returns ``(value, aux)`` and ``grad_fn(y, aux)`` the gradient at ``y``, so
     a contraction ``value_fn`` made is not repeated.  A step counts when it
-    lowers the value by more than ``min_decrease``.  Returns the final point
-    and its value.
+    lowers the value by more than ``min_decrease``.  With a ``target``, the
+    value a witness must get below, the descent gives up once it is out of
+    reach: when a step lowered the value by ``drop`` and the value still lies
+    more than ``drop`` per remaining step above the target.  It does not stop
+    at the target.  Returns the final point and its value.
     """
     y = project(y0)
     val, aux = value_fn(y)
     step = 0.5
-    for _ in range(POLISH_STEPS):
+    for k in range(POLISH_STEPS):
         grad = grad_fn(y, aux)
         norm = math.sqrt(grad.dot(grad))  # what np.linalg.norm computes on a real vector
         if norm < 1e-300:
@@ -261,12 +264,15 @@ def _polish_descent(y0, project, value_fn, grad_fn, min_decrease):
             y_new = project(y - trial * direction)
             val_new, aux_new = value_fn(y_new)
             if val_new < val - min_decrease:
+                drop = val - val_new
                 y, val, aux = y_new, val_new, aux_new
                 step = min(2.0 * trial, 0.5)
                 improved = True
                 break
             trial *= 0.5
         if not improved:
+            break
+        if target is not None and val - target > (POLISH_STEPS - 1 - k) * drop:
             break
     return y, val
 
@@ -350,9 +356,9 @@ def decide_all_components_negative(
     def grad_fn(y, f):
         return apply_jacobian(A, y)[int(f.argmax())]
 
-    def polish(y):
+    def polish(y, edge):
         y, g = _polish_descent(y, lambda v: _project_simplex(v, floor), value_fn, grad_fn,
-                               min_decrease)
+                               min_decrease, edge)
         # the descent missed a witness of the strict class
         if not strict and clears(g, tol, True):
             y2, g2 = _equalize(A, y, floor, scale)
@@ -389,9 +395,9 @@ def decide_form_nonneg(
     m = A.order
     min_decrease = tolerance(A, 1e-13)
 
-    def polish(y):
+    def polish(y, edge):
         return _polish_descent(y, _project_simplex, lambda v: (form_value(A, v), None),
-                               lambda v, _: m * apply(sym, v), min_decrease)[0]
+                               lambda v, _: m * apply(sym, v), min_decrease, edge)[0]
 
     return _in_units(_min_search(
         A, sym.data, tuple(range(m)), lambda y: form_value(A, y),
@@ -441,8 +447,9 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
     reports the same ``nodes`` and ``depth``, as a best-first search would.
     Polishing keeps the best-first order within a level: the leaves whose
     best candidate (:func:`_candidate_values`) beats the gate are polished in
-    bound order.  A search that ends on a witness may therefore report other
-    ``nodes`` or another witness than a best-first one.
+    bound order, each start once per search (a repeat would fail the same
+    way), with ``polish(start, edge)``.  A search that ends on a witness may
+    therefore report other ``nodes`` or another witness than a best-first one.
     """
     n = A.dim
     span = n ** len(coeff_axes)
@@ -453,6 +460,7 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
     bounds = _leaf_bounds(C.reshape(1, -1, span))
     worst = float(bounds[0])
     nodes, depth = 1, 0
+    polished = set()  # the bytes of every start polished so far
 
     def witness_ok(y):
         q = point_value(y)
@@ -479,7 +487,12 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
             if not best[i] < polish_gate:
                 continue
             j = int(values[i].argmin())
-            y = polish(V[i].mean(axis=0) if j == 0 else V[i, j - 1])
+            start = V[i].mean(axis=0) if j == 0 else V[i, j - 1]
+            key = start.tobytes()
+            if key in polished:
+                continue
+            polished.add(key)
+            y = polish(start, edge)
             ok, reached = witness_ok(y)
             if ok:
                 return fails(y)

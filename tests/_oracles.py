@@ -114,8 +114,8 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
     A drop-in for ``subdivision._min_search``: it pops the least bound (a NaN
     as ``-inf``), certifies on the first pop that clears, and evaluates each
     popped leaf's candidates (the centroid, then the vertices) by contracting
-    ``A`` at the points.  Heap entries are ``(key, seq, depth, vertices,
-    coeffs)``.
+    ``A`` at the points; like the engine, it polishes each start once.  Heap
+    entries are ``(key, seq, depth, vertices, coeffs)``.
     """
     from tenclass.core import clears, falls_short, tolerance
     from tenclass.reference import Simplex, apply_batch, form_batch
@@ -139,6 +139,7 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
     seq = 1
     edge = tol if strict else -tol
     polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
+    polished = set()
 
     def witness_ok(y):
         q = point_value(y)
@@ -159,8 +160,10 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
         points = np.vstack((V.mean(axis=0), V))
         values = candidate_values(points)
         best_idx = int(values.argmin())
-        if float(values[best_idx]) < polish_gate:
-            y = polish(points[best_idx])
+        start = points[best_idx]
+        if float(values[best_idx]) < polish_gate and start.tobytes() not in polished:
+            polished.add(start.tobytes())
+            y = polish(start, edge)
             ok, reached = witness_ok(y)
             if ok:
                 return fails(y)

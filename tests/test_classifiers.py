@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from dataclasses import fields
 
@@ -35,7 +36,7 @@ from tenclass import (
     symmetrize,
     z_decompose,
 )
-from tenclass import spectral
+from tenclass import spectral, subdivision
 from tenclass.classifiers import (
     CLASS_NAMES,
     Config,
@@ -149,6 +150,28 @@ class TestMTensor:
         v = is_m_tensor(B)
         assert v.status == FAILS
         assert v.info["reason"] == "not_a_z_tensor"
+
+    def test_z_test_reads_the_tensor_itself(self):
+        # the unit-scale copy rounds the 5e-324 entries to 0, which makes it Z
+        A = Tensor(np.array([-0.0, -5e-324, -1e-310, 5e-324,
+                             5e-324, -1.0, -1e-310, -1.0]).reshape(2, 2, 2))
+        c = TensorClassifier(A)
+        assert c.verdict("Z").info["positive_offdiagonal_at"] == (0, 1, 1)
+        for name in ("M", "strongM"):
+            v = c.verdict(name)
+            assert v.status == FAILS
+            assert v.info == {"reason": "not_a_z_tensor",
+                              "detail": "positive off-diagonal entry at (0, 1, 1)"}
+
+    def test_radius_with_an_underflowing_iterate(self):
+        # B = -A has b_111 = 1 > t = 0, so rho(B) >= 1 and neither M holds
+        A = Tensor(np.array([0.0, -1e-310, -1e-310, 0.0,
+                             0.0, -1.0, -1.0, -1.0]).reshape(2, 2, 2))
+        c = TensorClassifier(A)
+        for name in ("M", "strongM"):
+            v = c.verdict(name)
+            assert v.status == FAILS
+            assert (v.info["t"], v.info["rho_lower"]) == (0.0, 1.0)
 
     def test_one_radius_enclosure_per_classify(self, monkeypatch):
         # M and strong M read one split of the tensor and one enclosure of its radius
@@ -314,6 +337,12 @@ class TestFeasibilityClasses:
             assert (v.status, dict(v.info)) == (FAILS, {"reason": "no_solution"})
 
 
+# A touch case: E's search on the full set finds no witness and no
+# certificate, because the value reaches the threshold exactly.
+TOUCH_TENSOR = Tensor(np.array([1e-310, -1e-310, -1.0, 0.0,
+                                -5e-324, 0.0, 1.0, 1e-310]).reshape(2, 2, 2))
+
+
 def _scripted(decision: str, table: dict) -> TensorClassifier:
     """A dim-2 classifier whose ``decision`` method answers from ``table``, by subset."""
     c = TensorClassifier(Tensor.zeros(3, 2))
@@ -362,7 +391,7 @@ class TestSubsetScan:
             (0, 1): _decided(INCONCLUSIVE, -0.5, info={"limit": "max_depth"})})
         v = c.verdict("almostC0")
         assert (v.status, v.worst_bound) == (INCONCLUSIVE, -0.5)
-        assert dict(v.info) == {"undecided_subsets": [(0, 1)]}
+        assert dict(v.info) == {"undecided_subsets": [(0, 1)], "limits": ["max_depth"]}
 
     def test_completely_s_holds_with_least_bound(self):
         c = _scripted("feasibility_decision", {
@@ -380,7 +409,39 @@ class TestSubsetScan:
             (0, 1): _decided(HOLDS, 2.0, [0.5, 0.5])})
         v = c.verdict("completelyS0")
         assert (v.status, v.witness, v.worst_bound) == (INCONCLUSIVE, None, -1.0)
-        assert dict(v.info) == {"undecided_subsets": [(1,)]}
+        assert dict(v.info) == {"undecided_subsets": [(1,)], "limits": ["max_depth"]}
+
+    def test_touch_case_names_its_limit(self):
+        # the full set's minimum sits exactly at the threshold, so its search
+        # bisects down to max_depth
+        v = TensorClassifier(TOUCH_TENSOR).verdict("E")
+        assert v.status == INCONCLUSIVE
+        assert dict(v.info) == {"undecided_subsets": [(0, 1)], "limits": ["max_depth"]}
+
+    def test_touch_case_polishes_each_start_once(self, monkeypatch):
+        # every leaf that keeps the vertex at the threshold offers it as a
+        # start; polishing it again fails the same way
+        searches = []
+        search, descent = subdivision._min_search, subdivision._polish_descent
+
+        def searching(*args, **kwargs):
+            searches.append([])
+            return search(*args, **kwargs)
+
+        def recording(y0, *args):
+            searches[-1].append(np.asarray(y0).tobytes())
+            return descent(y0, *args)
+
+        monkeypatch.setattr(subdivision, "_min_search", searching)
+        monkeypatch.setattr(subdivision, "_polish_descent", recording)
+        doc = TensorClassifier(TOUCH_TENSOR).classify().to_json()
+        assert all(len(starts) == len(set(starts)) for starts in searches)
+        assert sum(map(len, searches)) == 2203  # 4,470 with the repeats
+        # the report is the one repeated polishing gave, apart from ``limits``
+        for v in doc["verdicts"].values():
+            v.get("info", {}).pop("limits", None)
+        assert hashlib.sha256(canonical_dumps(doc).encode()).hexdigest() == \
+            "0fba7e8a76a28f73a3f45d7b2f8eb3fccdd73e80d47073b3bf3af93483912547"
 
     def test_real_completely_s_bound_is_the_subset_minimum(self, hadamard_pair):
         c = TensorClassifier(hadamard_pair[1])

@@ -17,6 +17,7 @@ from tenclass import Tensor, apply, apply_batch, apply_jacobian, form_batch, for
 from tenclass import reference, subdivision
 from tenclass.core import as_vector, orbit_mean, symmetrize
 from tenclass.reference import Simplex, refine, standard_simplex
+from tenclass.verify import _gen_diag_dominant
 from tenclass.subdivision import (
     _candidate_values,
     _halve,
@@ -338,9 +339,10 @@ class TestProjection:
 # A tensor drawn by ``verify.run_all(3000, count=3)`` (the first pass of the
 # verify_suites benchmark at seed 3).  Its strict component search and its
 # form search both hold with a minimum just above the threshold.  A failed
-# polish caps the gate at the value its descent reached, and no later
-# candidate beats that local minimum, so each search polishes once; halving
-# the gate alone polished 25 and 15 times.
+# polish caps the gate at the value its descent reached.  The form search
+# polishes once; the component search's first descent gives up above the
+# local minimum, so one later start beats its value and is polished too.
+# Halving the gate alone polished 25 and 15 times.
 REPEATING_TENSOR = Tensor(np.array([
     [[6.169286665284805, -1.9686933052328046], [-1.9686933052328046, -1.8847008772721094]],
     [[-1.9686933052328044, -1.8847008772721092], [-1.8847008772721092, 5.412875719161666]],
@@ -364,7 +366,8 @@ LATE_WITNESS_TENSOR = Tensor(np.array(
 
 
 class TestPolishStarts:
-    """A start is polished only when it beats the value the last failed polish reached."""
+    """A start is polished only when it beats the value the last failed polish
+    reached, and never twice in one search."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -377,15 +380,29 @@ class TestPolishStarts:
         monkeypatch.setattr(subdivision, "_polish_descent", recording)
         return seen
 
-    def test_component_search(self, starts):
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        calls = Counter()
+        for name in ("apply", "form_value"):
+            def counting(*args, fn=getattr(subdivision, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(subdivision, name, counting)
+        return calls
+
+    def test_component_search(self, starts, contractions):
         v = subdivision.decide_all_components_negative(REPEATING_TENSOR, strict=True)
         assert (v.status, v.nodes) == (subdivision.HOLDS, 59)
-        assert len(starts) == len(set(starts)) == 1
+        assert len(starts) == len(set(starts)) == 2
+        # one start and 98 calls when every descent ran all POLISH_STEPS
+        assert contractions["apply"] <= 74
 
-    def test_form_search(self, starts):
+    def test_form_search(self, starts, contractions):
         v = subdivision.decide_form_nonneg(REPEATING_TENSOR, strict=False)
         assert (v.status, v.nodes) == (subdivision.HOLDS, 31)
         assert len(starts) == len(set(starts)) == 1
+        # 60 calls when the descent ran all POLISH_STEPS
+        assert contractions["form_value"] <= 32
 
     def test_witness_after_a_failed_polish(self, starts):
         A = LATE_WITNESS_TENSOR
@@ -396,3 +413,53 @@ class TestPolishStarts:
         assert (v.status, v.nodes, v.depth) == (subdivision.FAILS, 13, 3)
         assert len(starts) == len(set(starts)) == 2
         assert float(np.max(apply(A, v.witness))) < -1e-9 * float(np.max(np.abs(A.data)))
+
+
+class TestGiveUp:
+    """A descent toward a target stops once, at its last rate, the steps it has
+    left cannot reach the target; it does not stop at the target."""
+
+    @staticmethod
+    def _descend(target):
+        A = REPEATING_TENSOR
+        steps = []
+
+        def value_fn(y):
+            f = apply(A, y)
+            return float(f.max()), f
+
+        def grad_fn(y, f):
+            steps.append(y)
+            return apply_jacobian(A, y)[int(f.argmax())]
+
+        y, val = _polish_descent(np.array([0.9, 0.1]), lambda v: _project_simplex(v, 1e-6),
+                                 value_fn, grad_fn, 1e-13, target)
+        return y, val, len(steps)
+
+    def test_a_reached_target_changes_nothing(self):
+        y, val, steps = self._descend(None)
+        y_inf, val_inf, steps_inf = self._descend(np.inf)
+        assert np.array_equal(y, y_inf) and (val, steps) == (val_inf, steps_inf)
+        assert steps > 1
+
+    def test_an_unreachable_target_ends_after_one_step(self):
+        assert self._descend(-np.inf)[2] == 1
+
+    def test_dominant_holds_search(self, monkeypatch):
+        # a strictly dominant tensor, in E0: its one descent ran all 50 steps
+        # and ended far above the threshold
+        steps = []
+
+        def counting(y0, project, value_fn, grad_fn, *rest):
+            grads = []
+            out = _polish_descent(y0, project, value_fn,
+                                  lambda *a: grads.append(1) or grad_fn(*a), *rest)
+            steps.append(len(grads))
+            return out
+
+        monkeypatch.setattr(subdivision, "_polish_descent", counting)
+        A = _gen_diag_dominant(np.random.default_rng(1), 3, 5, True)
+        v = subdivision.decide_all_components_negative(A, strict=False)
+        assert v.to_json() == {"status": "Holds", "witness": None, "epsilon": 1e-09,
+                               "nodes": 161, "depth": 9, "worst_bound": -0.4798051045255536}
+        assert steps and max(steps) < subdivision.POLISH_STEPS

@@ -46,6 +46,21 @@ class TestSpectralRadius:
         enc = spectral_radius_nonneg(B)
         assert (enc.lower, enc.upper, enc.iterations, enc.converged) == (0.0, 0.0, 0, True)
 
+    def test_underflowed_iterate_ends_the_block(self):
+        # b_001 = b_010 = 5e-311 couple index 0 so weakly that the iterate's
+        # first coordinate underflows to 0; its quotient would be 0 / 0
+        B = Tensor(np.array([0.0, 5e-311, 5e-311, 0.0, 0.0, 0.5, 0.5, 0.5]).reshape(2, 2, 2))
+        enc = spectral_radius_nonneg(B)
+        assert (enc.lower, enc.upper, enc.converged) == (0.5, 0.5, True)
+        assert enc.iterations < 3000
+
+    def test_lower_end_is_at_least_the_largest_diagonal_entry(self):
+        # one iteration from the uniform start: the quotients are the row sums
+        # 1.01 and 0.01, but rho(B) >= b_000 = 1
+        B = Tensor.from_coo(3, 2, [((0, 0, 0), 1.0), ((0, 1, 1), 0.01), ((1, 0, 0), 0.01)])
+        enc = spectral_radius_nonneg(B, max_iter=1)
+        assert (enc.lower, enc.upper, enc.iterations) == (1.0, 1.01, 1)
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative entry"):
             spectral_radius_nonneg(Tensor.from_coo(3, 2, [((0, 1, 1), -1.0)]))
