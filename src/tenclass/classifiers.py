@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import spectral
+from . import spectral, subdivision
 from .core import (
     Tensor,
     add,
@@ -46,7 +46,7 @@ from .subdivision import (
     INTERIOR_MARGIN,
     Verdict,
     _check_params,
-    decide_all_components_negative,
+    decide_all_components_negative,  # these three are bound for benchmarks/tracing.py
     decide_form_nonneg,
     search_nonneg_solution,
 )
@@ -304,26 +304,30 @@ class TensorClassifier:
         return _memo(self._sub, J, lambda: self.tensor if J == self._full
                      else principal_subtensor(self.tensor, J))
 
+    def _decided(self, cache: dict, J: tuple[int, ...], strict: bool, searches) -> Verdict:
+        """``cache[J, strict]``; a miss is decided with the undecided rest of its size group."""
+        if (J, strict) not in cache:
+            batch = [J] + [K for K in combinations(self._full, len(J))
+                           if K > J and (K, strict) not in cache]
+            found = searches([self.subtensor(K) for K in batch], strict,
+                             self.config.epsilon, self.config.max_depth)
+            cache.update(((K, strict), v) for K, v in zip(batch, found) if v is not None)
+        return cache[J, strict]
+
     def component_decision(self, J: tuple[int, ...], engine_strict: bool) -> Verdict:
-        cfg = self.config
-        return _memo(self._component, (J, engine_strict), lambda: decide_all_components_negative(
-            self.subtensor(J), engine_strict, cfg.epsilon, cfg.max_depth))
+        return self._decided(self._component, J, engine_strict, subdivision._components_negative)
 
     def form_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        cfg = self.config
-        return _memo(self._form, (J, strict), lambda: decide_form_nonneg(
-            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth))
+        return self._decided(self._form, J, strict, subdivision._forms_nonneg)
 
     def feasibility_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        cfg = self.config
-        return _memo(self._feasible, (J, strict), lambda: search_nonneg_solution(
-            self.subtensor(J), strict, cfg.epsilon, cfg.max_depth))
+        return self._decided(self._feasible, J, strict, subdivision._nonneg_solutions)
 
     # -- scans the ``CLASSES`` rows call --------------------------------------
 
     def _scan(self, decide, fail_info, almost: str | None = None) -> Verdict:
         """Decide the nonempty subsets, sizes ascending and the full set last, up
-        to the first that breaks the class.
+        to the first that breaks the class (a miss decides its size group at once).
 
         ``decide(J)`` is the engine verdict for subset ``J``, Holds when ``J``
         is in the class.  A subset that Fails breaks it: the verdict Fails with

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .classifiers import Config, classify
 from .core import unit_scale, unscale
-from .spectral import find_negative_hpp_eigenpair, spectral_radius_nonneg
+from .spectral import _require_nonneg, find_negative_hpp_eigenpair, spectral_radius_nonneg
 from .tensor_io import canonical_dumps, load_tensor, save_tensor
 from .verify import SUITES, GeneratorSpec, generate, run_all, run_fixtures, run_suite
 
@@ -42,6 +42,7 @@ def _cmd_spectral(args, config) -> int:
     tol = max(config.epsilon, 1e-14)
     if args.radius:
         # iterate on the unit-scale copy; an end past the float range is null
+        _require_nonneg(A)  # on the tensor: the copy may round -5e-324 to -0.0
         B, e = unit_scale(A)
         enc = spectral_radius_nonneg(B, tol=tol)
         doc = {"radius": {**enc.to_json(), "lower": unscale(enc.lower, e),

@@ -92,6 +92,11 @@ RHO_TOL = 1e-12
 RHO_MAX_ITER = 3000
 
 
+def _require_nonneg(B: Tensor) -> None:
+    if np.any(B.data < 0):
+        raise ValueError(f"negative entry at index {tuple(map(int, np.argwhere(B.data < 0)[0]))}")
+
+
 def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
                            max_iter: int = RHO_MAX_ITER) -> RadiusEnclosure:
     """Enclose the spectral radius of an entrywise nonnegative tensor.
@@ -113,9 +118,7 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
         raise ValueError("tol must be positive")
     if B.order < 2:
         raise ValueError(f"order {B.order} tensor: the spectral radius needs order >= 2")
-    if np.any(B.data < 0):
-        idx = np.argwhere(B.data < 0)[0]
-        raise ValueError(f"negative entry at index {tuple(int(i) for i in idx)}")
+    _require_nonneg(B)
 
     power = B.order - 1
     lower, upper, iters = 0.0, 0.0, 0

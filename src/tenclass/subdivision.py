@@ -6,24 +6,24 @@ orthant" reduces, by homogeneity, to a statement over the standard simplex.
 The engine bounds the multilinear forms on sub-simplices through their
 barycentric coefficient tensors (the coefficients are a convex-combination
 representation, so their min and max bound the form).  It refines one level
-at a time: every leaf whose bound does not certify is bisected at its longest
-edge, all of them in one set of array operations.  Which leaves a certificate
-needs does not depend on the order they are refined in, so a ``Holds`` is the
-one a best-first search would reach.  It stops with a three-valued verdict:
+at a time, for every search of one shape at once: each leaf whose bound does
+not certify is bisected at its longest edge, in one set of array operations.
+The leaves a certificate needs do not depend on that order, so a ``Holds`` is
+the one a best-first search would reach.  It ends with a three-valued verdict:
 
 * ``Holds``        -- every leaf carries a certifying bound,
 * ``Fails``        -- a concrete witness vector, re-checked against the claim,
 * ``Inconclusive`` -- the depth or node budget ran out.
 
-Strictness is handled through a declared margin ``epsilon``, measured on the
-coefficient scale normalized by the tensor's largest absolute entry.  Each
-search runs on the tensor's unit-scale copy (``core.unit_scale``) and reports
-its bound and margins in the tensor's own units.
+Strictness is a declared margin ``epsilon`` on the scale of the tensor's
+largest absolute entry.  Each search runs on the unit-scale copy
+(``core.unit_scale``) and reports its bound and margins in the tensor's units.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -69,6 +69,9 @@ POLISH_STEPS = 50
 # candidates closer to the target than this fraction of the tensor scale are
 # worth a polishing attempt
 _POLISH_TRIGGER = 0.05
+# a batch level splits its first search and the next whose leaves fit in this
+# many bytes, so a split's working set (about four levels) stays in L2 cache
+_LEVEL_BYTES = 2 ** 18
 
 
 class WitnessError(RuntimeError):
@@ -181,7 +184,7 @@ def _longest_edges(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     first, second = _edge_pairs(V.shape[1])
     diff = V[:, first] - V[:, second]
-    best = (diff * diff).sum(axis=2).argmax(axis=1)
+    best = np.add.reduce(diff * diff, axis=2).argmax(axis=1)
     return first[best], second[best]
 
 
@@ -193,9 +196,9 @@ def _halve(X: np.ndarray, axes: tuple[int, ...], a: np.ndarray, b: np.ndarray) -
     ``b[i]`` by the midpoint, row ``2i + 1`` replaces ``a[i]``; multilinearity
     makes that an average of the two vertex slices along every axis in turn.
     """
-    out = np.repeat(X, 2, axis=0)
+    out = X.repeat(2, 0)
     rows = np.arange(len(out))
-    p, q = np.repeat(b, 2), np.repeat(a, 2)
+    p, q = b.repeat(2), a.repeat(2)
     p[1::2], q[1::2] = a, b
     shape = X.shape[1:]
     for ax in axes:
@@ -326,6 +329,19 @@ def _check_params(epsilon: float, max_depth: int) -> None:
         raise ValueError("max_depth must be at least 1")
 
 
+# one search of a batch, on a unit-scale ``A`` with ``scale = tolerance(A, 1.0)``
+_Search = namedtuple("_Search", "A root_coeffs point_value tol polish scale")
+
+
+def _decided(search, tensors, epsilon, max_depth, **shared) -> list[Verdict | None]:
+    """``search`` of each of the same-shape ``tensors`` (unit-scaled) in one loop."""
+    _check_params(epsilon, max_depth)
+    scaled = [unit_scale(A) for A in tensors]
+    found = _min_search([search(A) for A, _ in scaled], epsilon=epsilon,
+                        max_depth=max_depth, **shared)
+    return [v and _in_units(v, e) for v, (_, e) in zip(found, scaled)]
+
+
 def decide_all_components_negative(
     A: Tensor,
     strict: bool,
@@ -343,37 +359,42 @@ def decide_all_components_negative(
     budget is Inconclusive.  Holds is the claim ``max_k >= 0`` on the simplex
     (``> 0`` when not ``strict``), so the class strictness is ``not strict``.
     """
-    _check_params(epsilon, max_depth)
-    A, e = unit_scale(A)
-    floor = interior_margin
-    scale = tolerance(A, 1.0)
-    tol, min_decrease = epsilon * scale, 1e-13 * scale
+    return _components_negative([A], strict, epsilon, max_depth, max_nodes, interior_margin)[0]
 
-    def value_fn(y):
-        f = apply(A, y)
-        return float(f.max()), f
 
-    def grad_fn(y, f):
-        return apply_jacobian(A, y)[int(f.argmax())]
+def _components_negative(tensors, strict, epsilon, max_depth, max_nodes=DEFAULT_MAX_NODES,
+                         floor=INTERIOR_MARGIN, stop=FAILS) -> list[Verdict | None]:
+    """The component search of each tensor, up to the first that ends ``stop``."""
 
-    def polish(y, edge):
-        y, g = _polish_descent(y, lambda v: _project_simplex(v, floor), value_fn, grad_fn,
-                               min_decrease, edge)
-        # the descent missed a witness of the strict class
-        if not strict and clears(g, tol, True):
-            y2, g2 = _equalize(A, y, floor, scale)
-            if g2 < g:
-                y = y2
-        return y
+    def search(A):
+        scale = tolerance(A, 1.0)
+        tol, min_decrease = epsilon * scale, 1e-13 * scale
 
-    # apply sees only the slot-symmetric part of each row, and symmetrized
-    # coefficients give second-order tight bounds, so the bound arrays start
-    # from each row's mean over its m - 1 slots; witnesses are evaluated on A
-    return _in_units(_min_search(
-        A, orbit_mean(A.data, A.order - 1), tuple(range(1, A.order)), lambda y: value_fn(y)[0],
-        strict=not strict, tol=tol, floor=floor, polish=polish, epsilon=epsilon,
-        max_depth=max_depth, max_nodes=max_nodes,
-    ), e)
+        def value_fn(y):
+            f = apply(A, y)
+            return float(f.max()), f
+
+        def grad_fn(y, f):
+            return apply_jacobian(A, y)[int(f.argmax())]
+
+        def polish(y, edge):
+            y, g = _polish_descent(y, lambda v: _project_simplex(v, floor), value_fn, grad_fn,
+                                   min_decrease, edge)
+            # the descent missed a witness of the strict class
+            if not strict and clears(g, tol, True):
+                y2, g2 = _equalize(A, y, floor, scale)
+                if g2 < g:
+                    y = y2
+            return y
+
+        # apply sees only the slot-symmetric part of each row, and symmetrized coefficients
+        # give second-order tight bounds, so the bound arrays start from each row's mean
+        # over its m - 1 slots; witnesses are evaluated on A
+        return _Search(A, orbit_mean(A.data, A.order - 1), lambda y: value_fn(y)[0], tol,
+                       polish, scale)
+
+    return _decided(search, tensors, epsilon, max_depth, strict=not strict, floor=floor,
+                    coeff_axes=tuple(range(1, tensors[0].order)), max_nodes=max_nodes, stop=stop)
 
 
 def decide_form_nonneg(
@@ -389,21 +410,24 @@ def decide_form_nonneg(
     Holds certifies the sign through per-leaf coefficient lower bounds; Fails
     carries a simplex witness with ``A x^m < -eps`` (strict: ``<= eps``).
     """
-    _check_params(epsilon, max_depth)
-    A, e = unit_scale(A)
-    sym = symmetrize(A)
-    m = A.order
-    min_decrease = tolerance(A, 1e-13)
+    return _forms_nonneg([A], strict, epsilon, max_depth, max_nodes)[0]
 
-    def polish(y, edge):
-        return _polish_descent(y, _project_simplex, lambda v: (form_value(A, v), None),
-                               lambda v, _: m * apply(sym, v), min_decrease, edge)[0]
 
-    return _in_units(_min_search(
-        A, sym.data, tuple(range(m)), lambda y: form_value(A, y),
-        strict=strict, tol=tolerance(A, epsilon), floor=0.0, polish=polish,
-        epsilon=epsilon, max_depth=max_depth, max_nodes=max_nodes,
-    ), e)
+def _forms_nonneg(tensors, strict, epsilon, max_depth, max_nodes=DEFAULT_MAX_NODES):
+    """The form search of each tensor, up to the first that Fails."""
+    m = tensors[0].order
+
+    def search(A):
+        sym, scale = symmetrize(A), tolerance(A, 1.0)
+
+        def polish(y, edge):
+            return _polish_descent(y, _project_simplex, lambda v: (form_value(A, v), None),
+                                   lambda v, _: m * apply(sym, v), 1e-13 * scale, edge)[0]
+
+        return _Search(A, sym.data, lambda y: form_value(A, y), epsilon * scale, polish, scale)
+
+    return _decided(search, tensors, epsilon, max_depth, strict=strict, floor=0.0,
+                    coeff_axes=tuple(range(m)), max_nodes=max_nodes, stop=FAILS)
 
 
 def _leaf_bounds(G: np.ndarray) -> np.ndarray:
@@ -412,7 +436,7 @@ def _leaf_bounds(G: np.ndarray) -> np.ndarray:
     ``G[i]`` holds leaf ``i``'s coefficients with the vertex axes flattened,
     one row per component (a single row for a form).
     """
-    return G.min(axis=2).max(axis=1)
+    return np.maximum.reduce(np.minimum.reduce(G, axis=2), axis=1)
 
 
 def _candidate_values(G: np.ndarray, r: int) -> np.ndarray:
@@ -429,18 +453,19 @@ def _candidate_values(G: np.ndarray, r: int) -> np.ndarray:
                            G[:, :, ::step].max(axis=1)), axis=1)
 
 
-def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, polish,
-                epsilon, max_depth, max_nodes) -> Verdict:
+def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_nodes,
+                stop) -> list[Verdict | None]:
     """Level-by-level hunt for a point whose ``point_value`` falls short of the class.
 
     The class asks ``point_value >= 0`` (``> 0`` if ``strict``) on the
     simplex.  ``root_coeffs`` bound it there: ``coeff_axes`` index vertices
     and any other axis (the component, in a component search) indexes rows,
     and a leaf's bound is its largest row minimum.  A leaf whose bound clears
-    is certified; every other leaf of a level (a NaN bound among them) is
-    bisected at its longest edge in one set of array operations.  A point
-    that falls short, with no coordinate below the ``floor``, is a witness;
-    every verdict reports the root bound as ``worst_bound``.
+    its search's ``tol`` is certified; every other leaf of a level (a NaN
+    bound among them), whatever its search, is bisected at its longest edge
+    in one set of array operations.  A point that falls short, with no
+    coordinate below the ``floor``, is a witness; every verdict reports its
+    root bound as ``worst_bound``.
 
     Whether a leaf is refined depends only on its own bound and its
     ancestors', never on the order, so a Holds refines the same leaves, and
@@ -450,72 +475,115 @@ def _min_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor, 
     bound order, each start once per search (a repeat would fail the same
     way), with ``polish(start, edge)``.  A search that ends on a witness may
     therefore report other ``nodes`` or another witness than a best-first one.
+
+    Each of ``searches`` (all of one shape) is such a hunt in one shared loop,
+    ending as it would alone; it polishes its queued starts once every search
+    before it has ended.  Those after the first that ends ``stop``, and those a
+    level past ``_LEVEL_BYTES`` leaves out, are dropped (None).
     """
-    n = A.dim
+    count, n = len(searches), searches[0].A.dim
     span = n ** len(coeff_axes)
-    edge = tol if strict else -tol  # where the rule flips
-    polish_gate = edge + tolerance(A, _POLISH_TRIGGER)
-    V = np.eye(n)[None]
-    C = root_coeffs[None]
-    bounds = _leaf_bounds(C.reshape(1, -1, span))
-    worst = float(bounds[0])
-    nodes, depth = 1, 0
-    polished = set()  # the bytes of every start polished so far
+    tol = np.array([s.tol for s in searches])
+    edge = [s.tol if strict else -s.tol for s in searches]  # where the rule flips
+    gate = np.array([e + _POLISH_TRIGGER * s.scale for e, s in zip(edge, searches)])
+    sid = np.arange(count)  # the search of each leaf
+    V = np.eye(n)[None].repeat(count, 0)
+    C = np.array([s.root_coeffs for s in searches])
+    bounds = _leaf_bounds(C.reshape(count, -1, span))
+    worst = bounds.tolist()
+    nodes, live = np.array([1] * count), np.array([True] * count)
+    most, depth = 1, 0  # no search has more than ``most`` nodes
+    ended, found = [None] * count, []  # every verdict, and those settled in order
+    queued = [[] for _ in searches]  # (depth, nodes, value, start) not yet polished
+    polished = [set() for _ in searches]  # the bytes of every start polished so far
 
-    def witness_ok(y):
-        q = point_value(y)
-        return falls_short(q, tol, strict) and float(np.min(y)) >= floor * 0.999, q
+    def witness_ok(s, y):
+        q = searches[s].point_value(y)
+        return falls_short(q, searches[s].tol, strict) and float(np.min(y)) >= floor * 0.999, q
 
-    def fails(y):
-        return Verdict.fails(y, witness_ok, epsilon=epsilon, nodes=nodes,
-                             depth=depth, worst_bound=worst)
+    def fails(s, y, at_nodes, at_depth):
+        return Verdict.fails(y, lambda p: witness_ok(s, p), epsilon=epsilon, nodes=at_nodes,
+                             depth=at_depth, worst_bound=worst[s])
+
+    def end(s, status, levels=0, **info):
+        ended[s] = Verdict(status, None, epsilon, int(nodes[s]), depth + levels, worst[s], info)
+        live[s] = False
+
+    def settle():
+        while len(found) < count:
+            s = len(found)
+            while queued[s] and (live[s] or ended[s]):  # a dropped search polishes nothing
+                at_depth, at_nodes, value, start = queued[s].pop(0)
+                key = start.tobytes()
+                if not value < gate[s] or key in polished[s]:
+                    continue
+                polished[s].add(key)
+                y = searches[s].polish(start, edge[s])
+                ok, reached = witness_ok(s, y)
+                if ok:
+                    ended[s], live[s] = fails(s, y, at_nodes, at_depth), False
+                    break
+                # a failed polish stops at or above the edge (its points keep
+                # the floor), so later starts must beat the minimum it reached
+                gate[s] = min(edge[s] + 0.5 * (gate[s] - edge[s]), reached)
+            if ended[s] is None:
+                return
+            found.append(ended[s])
+            if ended[s].status == stop:
+                live[:] = False
+                found.extend([None] * (count - s - 1))
 
     while True:
-        keep = ~clears(bounds, tol, strict)
-        if not keep.all():
-            if not keep.any():
-                return Verdict(HOLDS, None, epsilon, nodes, depth, worst)
-            V, C, bounds = V[keep], C[keep], bounds[keep]
-        if n == 1:
-            # a one-vertex simplex is a point whose bound is its value
-            return fails(V[0, 0])
+        keep = ~clears(bounds, tol[sid], strict)
+        if np.count_nonzero(keep) < len(sid):
+            # a search whose last leaf is certified holds
+            for s in (live & (np.bincount(sid[keep], minlength=count) == 0)).nonzero()[0]:
+                end(s, HOLDS)
+            V, C, bounds, sid = V[keep], C[keep], bounds[keep], sid[keep]
+        if not len(sid):
+            break
+        if n == 1:  # a one-vertex simplex is a point whose bound is its value
+            for i, s in enumerate(sid):
+                ended[s] = fails(s, V[i, 0], 1, 0)
+            break
 
         values = _candidate_values(C.reshape(len(C), -1, span), n)
         best = values.min(axis=1)
-        starts = np.flatnonzero(best < polish_gate)
-        for i in starts[np.argsort(bounds[starts], kind="stable")]:
-            if not best[i] < polish_gate:
-                continue
+        starts = (best < gate[sid]).nonzero()[0]
+        for i in starts[bounds[starts].argsort(kind="stable")]:
             j = int(values[i].argmin())
-            start = V[i].mean(axis=0) if j == 0 else V[i, j - 1]
-            key = start.tobytes()
-            if key in polished:
-                continue
-            polished.add(key)
-            y = polish(start, edge)
-            ok, reached = witness_ok(y)
-            if ok:
-                return fails(y)
-            # a failed polish stops at or above the edge (its points keep
-            # the floor), so later starts must beat the minimum it reached
-            polish_gate = min(edge + 0.5 * (polish_gate - edge), reached)
+            queued[sid[i]].append((depth, int(nodes[sid[i]]), best[i],
+                                   V[i].mean(axis=0) if j == 0 else V[i, j - 1]))
+        settle()
 
         if depth >= max_depth:
-            return Verdict(INCONCLUSIVE, None, epsilon, nodes, depth, worst,
-                           {"limit": "max_depth"})
-        room = max(max_nodes - nodes, 0) // 2
-        if room < len(C):
-            # the budget splits ``room`` more leaves, the least bounds first,
-            # and ends the search there: their children are counted, not built
-            nodes += 2 * room
-            depth += 1 if room else 0
-            return Verdict(INCONCLUSIVE, None, epsilon, nodes, depth, worst,
-                           {"limit": "max_nodes"})
+            for s in live.nonzero()[0]:
+                end(s, INCONCLUSIVE, limit="max_depth")
+            break
+        leaves = np.bincount(sid, minlength=count)
+        most += 2 * len(sid)
+        if most > max_nodes:
+            room = np.maximum(max_nodes - nodes, 0) // 2
+            for s in (live & (room < leaves)).nonzero()[0]:
+                # the budget splits ``room`` more leaves, the least bounds first,
+                # and ends the search there: their children are counted, not built
+                nodes[s] += 2 * room[s]
+                end(s, INCONCLUSIVE, 1 if room[s] else 0, limit="max_nodes")
+        if C.nbytes > _LEVEL_BYTES:  # the searches past it run on their own turn
+            live &= (np.cumsum(leaves * live) - leaves[live.argmax()]) * C[0].nbytes < _LEVEL_BYTES
+        keep = live[sid]
+        if np.count_nonzero(keep) < len(sid):
+            V, C, sid = V[keep], C[keep], sid[keep]
+            if not len(sid):
+                break
         a, b = _longest_edges(V)
         V, C = _halve(V, (0,), a, b), _halve(C, coeff_axes, a, b)
+        sid = sid.repeat(2)
         bounds = _leaf_bounds(C.reshape(len(C), -1, span))
-        nodes += len(C)
+        nodes += 2 * leaves
         depth += 1
+    settle()
+    return found + [None] * (count - len(found))
 
 
 def search_nonneg_solution(
@@ -538,23 +606,27 @@ def search_nonneg_solution(
     component search on ``-A`` at floor 0 with Holds and Fails swapped; the
     solution is re-checked against ``A`` itself.
     """
-    A, e = unit_scale(A)
-    v = decide_all_components_negative(
-        Tensor(-A.data), strict, epsilon, max_depth, max_nodes=max_nodes,
-        interior_margin=0.0,
-    )
-    tol = tolerance(A, epsilon)
-    worst = 0.0 - v.worst_bound  # the root bound of A; a plain minus would give -0.0
+    return _nonneg_solutions([A], strict, epsilon, max_depth, max_nodes)[0]
 
-    def solution_ok(y):
-        value = float(np.min(apply(A, y)))
-        return clears(value, tol, strict), value
 
-    if v.status == FAILS:
-        out = Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
-                                          nodes=v.nodes, depth=v.depth, worst_bound=worst)
-    elif v.status == INCONCLUSIVE:
-        out = Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
-    else:
-        out = Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})
-    return _in_units(out, e)
+def _nonneg_solutions(tensors, strict, epsilon, max_depth, max_nodes=DEFAULT_MAX_NODES):
+    """The feasibility search of each tensor, up to the first that Fails."""
+    scaled = [unit_scale(A) for A in tensors]
+    found = _components_negative([Tensor(-A.data) for A, _ in scaled], strict, epsilon,
+                                 max_depth, max_nodes, floor=0.0, stop=HOLDS)
+
+    def swapped(A, v):  # the verdict on A from the component verdict on -A
+        tol, worst = tolerance(A, epsilon), 0.0 - v.worst_bound  # a plain minus gives -0.0
+
+        def solution_ok(y):
+            value = float(np.min(apply(A, y)))
+            return clears(value, tol, strict), value
+
+        if v.status == FAILS:
+            return Verdict.holds_with_solution(v.witness, solution_ok, epsilon=epsilon,
+                                               nodes=v.nodes, depth=v.depth, worst_bound=worst)
+        if v.status == INCONCLUSIVE:
+            return Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
+        return Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})
+
+    return [v and _in_units(swapped(A, v), e) for (A, e), v in zip(scaled, found)]

@@ -111,7 +111,8 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
                       polish, epsilon, max_depth, max_nodes):
     """The engine's search one leaf at a time, least bound first, from a heap.
 
-    A drop-in for ``subdivision._min_search``: it pops the least bound (a NaN
+    One search of ``subdivision._min_search`` (:func:`best_first_searches`
+    runs a batch through it): it pops the least bound (a NaN
     as ``-inf``), certifies on the first pop that clears, and evaluates each
     popped leaf's candidates (the centroid, then the vertices) by contracting
     ``A`` at the points; like the engine, it polishes each start once.  Heap
@@ -184,6 +185,19 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
             heapq.heappush(heap, (key(leaf_bound(cc)), seq, depth + 1, child.vertices, cc))
             seq += 1
     return Verdict(INCONCLUSIVE, None, epsilon, nodes, deepest, worst, {"limit": limit})
+
+
+def best_first_searches(searches, *, coeff_axes, stop, **shared):
+    """:func:`best_first_search` run on each search of a batch in turn, in the
+    signature of ``subdivision._min_search``: the verdicts up to the first
+    that ends ``stop``, None for every search after it."""
+    out = []
+    for s in searches:
+        out.append(best_first_search(s.A, s.root_coeffs, coeff_axes, s.point_value,
+                                     tol=s.tol, polish=s.polish, **shared))
+        if out[-1].status == stop:
+            break
+    return out + [None] * (len(searches) - len(out))
 
 
 def loop_apply_jacobian(data: np.ndarray, x) -> np.ndarray:

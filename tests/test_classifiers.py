@@ -17,6 +17,7 @@ from tenclass import (
     apply,
     check_weighted_characterization,
     classify,
+    decide_all_components_negative,
     entry_conditions,
     has_nonneg_row_subtensor,
     hadamard,
@@ -32,6 +33,7 @@ from tenclass import (
     is_semi_positive,
     is_z_tensor,
     load_fixtures,
+    principal_subtensor,
     stabilizing_diagonal,
     symmetrize,
     z_decompose,
@@ -45,6 +47,7 @@ from tenclass.classifiers import (
     TensorClassifier,
 )
 from tenclass.tensor_io import canonical_dumps
+from tenclass.verify import _gen_diag_dominant
 from _oracles import grid_is_semipositive, naive_apply
 
 
@@ -421,19 +424,22 @@ class TestSubsetScan:
     def test_touch_case_polishes_each_start_once(self, monkeypatch):
         # every leaf that keeps the vertex at the threshold offers it as a
         # start; polishing it again fails the same way
-        searches = []
-        search, descent = subdivision._min_search, subdivision._polish_descent
+        searches = []  # the starts each search polished, one list per search
+        search = subdivision._min_search
 
-        def searching(*args, **kwargs):
-            searches.append([])
-            return search(*args, **kwargs)
+        def recording(polish):
+            starts = []
+            searches.append(starts)
 
-        def recording(y0, *args):
-            searches[-1].append(np.asarray(y0).tobytes())
-            return descent(y0, *args)
+            def polishing(y0, edge):
+                starts.append(np.asarray(y0).tobytes())
+                return polish(y0, edge)
+            return polishing
+
+        def searching(batch, **kwargs):
+            return search([s._replace(polish=recording(s.polish)) for s in batch], **kwargs)
 
         monkeypatch.setattr(subdivision, "_min_search", searching)
-        monkeypatch.setattr(subdivision, "_polish_descent", recording)
         doc = TensorClassifier(TOUCH_TENSOR).classify().to_json()
         assert all(len(starts) == len(set(starts)) for starts in searches)
         assert sum(map(len, searches)) == 2203  # 4,470 with the repeats
@@ -449,6 +455,56 @@ class TestSubsetScan:
         assert v.holds
         bounds = [c.feasibility_decision(J, True).worst_bound for J in ((0,), (1,), (0, 1))]
         assert v.worst_bound == min(bounds) < bounds[-1]
+
+
+class TestSizeGroups:
+    """On a cache miss a decision settles its subset together with the
+    undecided subsets of its size after it, in one level loop."""
+
+    def test_one_level_loop_per_subset_size(self, monkeypatch):
+        # every subset of a strictly dominant tensor is in E0, so the scan
+        # decides all 63 subsets of the (3, 6) tensor
+        A = _gen_diag_dominant(np.random.default_rng([23, 3, 6]), 3, 6, True)
+        calls = []
+        search = subdivision._min_search
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(subdivision, "_min_search", counting)
+        assert TensorClassifier(A).verdict("E0").status == HOLDS
+        assert len(calls) == 6  # one search per subset made 63
+        assert [len(batch) for batch in calls] == [6, 15, 20, 15, 6, 1]
+
+    def test_searches_a_level_leaves_out_are_decided_on_their_own_turn(self, monkeypatch):
+        # a one-byte level cap leaves every search but the first out of a batch
+        A = Tensor(np.random.default_rng([23, 3, 4]).uniform(-1.0, 1.0, (4,) * 3) + 0.3)
+        want = classify(A).to_json()
+        dropped = []
+        search = subdivision._min_search
+
+        def counting(*args, **kwargs):
+            found = search(*args, **kwargs)
+            dropped.append(found.count(None))
+            return found
+
+        monkeypatch.setattr(subdivision, "_LEVEL_BYTES", 1)
+        monkeypatch.setattr(subdivision, "_min_search", counting)
+        assert classify(A).to_json() == want
+        assert sum(dropped) > 0
+
+    def test_a_scan_stores_nothing_after_the_subset_that_fails(self):
+        # the (0, 2) subtensor is almost semi-positive and leaves E0: the
+        # second of the three pairs
+        A = Tensor.from_coo(3, 3, [((0, 0, 0), 1.0), ((0, 0, 2), -1.0), ((2, 0, 2), -1.0),
+                                   ((1, 1, 1), 1.0)])
+        c = TensorClassifier(A)
+        v = c.verdict("E0")
+        assert (v.status, v.info["subset"]) == (FAILS, (0, 2))
+        assert sorted(J for J, _ in c._component) == [(0,), (0, 1), (0, 2), (1,), (2,)]
+        alone = decide_all_components_negative(principal_subtensor(A, (1, 2)), True)
+        assert c.component_decision((1, 2), True).to_json() == alone.to_json()
 
 
 class TestRowsAndEntries:

@@ -208,6 +208,17 @@ class TestSpectralCommand:
         doc = json.loads(out.read_text())["radius"]
         assert (doc["lower"], doc["upper"], doc["converged"]) == (None, None, True)
 
+    def test_radius_rejects_a_negative_subnormal_entry(self, tmp_path, capsys):
+        # scaling by 2**-1 rounds -5e-324 to -0.0; the sign test reads the tensor
+        A = Tensor.from_coo(3, 2, [((0, 0, 0), 1.0), ((0, 1, 1), -5e-324),
+                                   ((1, 0, 0), 0.5)])
+        f = write_tensor(tmp_path / "sub.json", tensor_to_json(A))
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out), "spectral", f, "--radius"]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: negative entry at index (0, 1, 1)\n")
+
     def test_eigenpair_near_overflow(self, tmp_path):
         # every positive x is an eigenvector of -1e308 * I with lambda = -1e308
         A = Tensor(-1e308 * Tensor.identity(3, 2).data)

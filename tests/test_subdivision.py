@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from tenclass import (
     decide_form_nonneg,
     form_coeffs,
     form_value,
+    principal_subtensor,
     refine,
     search_nonneg_solution,
     standard_simplex,
 )
 from tenclass import subdivision
+from tenclass.classifiers import Config
 from tenclass.subdivision import _halve
-from tenclass.verify import _gen_almost_e0, _gen_z
-from _oracles import best_first_search
+from tenclass.verify import GENERATORS, GeneratorSpec, _gen_almost_e0, _gen_z
+from _oracles import best_first_searches
 
 
 def random_sub_simplex(rng, dim, splits):
@@ -479,7 +482,7 @@ class TestLevelOrder:
                         args = (A, strict, 1e-9, max_depth)
                         level = search(*args, max_nodes=max_nodes)
                         with monkeypatch.context() as patch:
-                            patch.setattr(subdivision, "_min_search", best_first_search)
+                            patch.setattr(subdivision, "_min_search", best_first_searches)
                             heap = search(*args, max_nodes=max_nodes)
                         case = (name, strict, max_depth, max_nodes, level.status)
                         assert (level.status, level.info.get("limit")) == \
@@ -496,3 +499,67 @@ class TestLevelOrder:
         print(f"\n({m}, {n}): {len(differ)} verdicts differ from best-first:")
         for case, fields, heap_nodes, level_nodes in differ:
             print(f"  {case}: {fields}, nodes {heap_nodes} -> {level_nodes}")
+
+
+BATCHES = {
+    "component": subdivision._components_negative,
+    "form": subdivision._forms_nonneg,
+    "feasibility": subdivision._nonneg_solutions,
+}
+
+
+def _batch_inputs(m, n):
+    """Seeded tensors of four kinds at one shape: uniform entries, strictly
+    dominant, a Z-tensor and an almost semi-positive draw."""
+    rng = np.random.default_rng([23, m, n])
+    out = [Tensor(rng.uniform(-1.0, 1.0, (n,) * m))]
+    for kind in ("strictDiagDominant", "zTensor", "almostE0Seeded"):
+        out.append(GENERATORS[kind](rng, GeneratorSpec(kind, m, n), Config()))
+    return out
+
+
+class TestBatch:
+    """A size group decided in one level loop against one search per subset.
+
+    Each verdict of a batch must be the single search's, field for field.
+    The first search always ends; the searches after the first that Fails
+    (the status that breaks a scan) are dropped, and so are those a level
+    past ``_LEVEL_BYTES`` leaves out (a one-byte cap leaves out all but one).
+    The batch polishes as often as the single searches it settled do.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m, n, level_bytes", [
+        (3, 2, None), (3, 3, None), (3, 4, None), (4, 2, None), (4, 3, None), (4, 4, None),
+        (3, 5, None), (3, 4, 1), (4, 3, 1)])
+    def test_batched_verdicts_equal_single_searches(self, m, n, level_bytes, monkeypatch):
+        polished = []
+        search = subdivision._min_search
+
+        def counting(polish):
+            def polishing(y0, edge):
+                polished.append(y0)
+                return polish(y0, edge)
+            return polishing
+
+        monkeypatch.setattr(subdivision, "_min_search", lambda batch, **kwargs: search(
+            [s._replace(polish=counting(s.polish)) for s in batch], **kwargs))
+        if level_bytes:
+            monkeypatch.setattr(subdivision, "_LEVEL_BYTES", level_bytes)
+        for A, size, name, strict, (max_depth, max_nodes) in product(
+                _batch_inputs(m, n), range(1, n + 1), sorted(BATCHES), (True, False),
+                ((40, 200_000), (5, 200_000), (40, 41))):
+            subs = [principal_subtensor(A, J) for J in combinations(range(n), size)]
+            found = BATCHES[name](subs, strict, 1e-9, max_depth, max_nodes)
+            batch_polishes = len(polished)
+            case = (name, size, strict, max_depth, max_nodes)
+            statuses = [v and v.status for v in found]
+            last = statuses.index(FAILS) if FAILS in statuses else len(subs) - 1
+            assert found[0] is not None, case
+            assert statuses[last + 1:] == [None] * (len(subs) - last - 1), case
+            for B, v in zip(subs, found):
+                if v is not None:
+                    alone = SEARCHES[name](B, strict, 1e-9, max_depth, max_nodes=max_nodes)
+                    assert v.to_json() == alone.to_json(), case
+            assert 2 * batch_polishes == len(polished), case
+            polished.clear()
