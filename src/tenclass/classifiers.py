@@ -311,7 +311,7 @@ class TensorClassifier:
                            if K > J and (K, strict) not in cache]
             found = searches([self.subtensor(K) for K in batch], strict,
                              self.config.epsilon, self.config.max_depth)
-            cache.update(((K, strict), v) for K, v in zip(batch, found) if v is not None)
+            cache.update(((K, strict), v) for K, v in zip(batch, found))
         return cache[J, strict]
 
     def component_decision(self, J: tuple[int, ...], engine_strict: bool) -> Verdict:

@@ -106,8 +106,13 @@ def _cmd_gen(args, config) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an option error leaves through main's one error exit
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tenclass",
         description="Classify structured tensor classes with certificates or witnesses.",
     )
@@ -158,8 +163,8 @@ def main(argv=None) -> int:
                    help="t / rho(B) ratio for zTensor generation")
     p.set_defaults(fn=_cmd_gen)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args, Config(args.epsilon, args.max_depth, args.subset_cap))
     except (ValueError, OSError, MemoryError, RecursionError) as exc:
         # every usage error (a bad option, file, tensor or report, or one too

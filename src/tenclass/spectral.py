@@ -218,7 +218,8 @@ def find_negative_hpp_eigenpair(
     all-ones vector and 8 fixed draws of ``default_rng(0)``: each start
     descends through the engine's witness-polishing descent
     (``subdivision._polish_descent``, projected onto that set), then a Newton
-    polish solves the stationarity system; an eigenvector with a coordinate
+    polish from the descent's end, and one from the projected start, solve
+    the stationarity system; an eigenvector with a coordinate
     below ``INTERIOR_MARGIN`` is rejected.  Returning ``None`` means the nonconvex
     search found nothing; it is never a certificate of nonexistence.  It runs
     on ``core.unit_scale(A)``, with the same eigenvectors, and reports in the
@@ -236,26 +237,30 @@ def find_negative_hpp_eigenpair(
 
     found: list[EigenPair] = []
     for start in starts:
-        x, val = _polish_descent(start, lambda v: _project_cone_sphere(v, m),
-                                 lambda v: (form_value(A, v), None),
-                                 lambda v, _: m * apply(A, v), min_decrease)
-        if float(np.min(x)) < INTERIOR_MARGIN:
-            continue
-        polished = _newton_polish(A, x, val)
-        if polished is None:
-            continue
-        x, lam = polished
-        if float(np.min(x)) < INTERIOR_MARGIN:
-            continue
-        pair = EigenPair(float(lam), x, 0.0)
-        defect = residual(A, pair)
-        if not defect <= tolerance(A, tol):  # a NaN residual is no eigenpair
-            continue
-        lam = unscale(float(lam), e)
-        if lam is None:  # past the float range, with the sign of the copy's
-            lam = float(np.copysign(np.inf, pair.lam))
-        if falls_short(lam, tol, nonpositive):
-            found.append(EigenPair(lam, x, unscale(defect, e)))
+        # the descent may slide from an interior pair's basin to the boundary,
+        # so Newton also runs from the start itself
+        x0 = _project_cone_sphere(start, m)
+        descended = _polish_descent(start, lambda v: _project_cone_sphere(v, m),
+                                    lambda v: (form_value(A, v), None),
+                                    lambda v, _: m * apply(A, v), min_decrease)
+        for x, val in (descended, (x0, form_value(A, x0))):
+            if float(np.min(x)) < INTERIOR_MARGIN:
+                continue
+            polished = _newton_polish(A, x, val)
+            if polished is None:
+                continue
+            x, lam = polished
+            if float(np.min(x)) < INTERIOR_MARGIN:
+                continue
+            pair = EigenPair(float(lam), x, 0.0)
+            defect = residual(A, pair)
+            if not defect <= tolerance(A, tol):  # a NaN residual is no eigenpair
+                continue
+            lam = unscale(float(lam), e)
+            if lam is None:  # past the float range, with the sign of the copy's
+                lam = float(np.copysign(np.inf, pair.lam))
+            if falls_short(lam, tol, nonpositive):
+                found.append(EigenPair(lam, x, unscale(defect, e)))
 
     if not found:
         return None

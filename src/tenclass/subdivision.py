@@ -333,13 +333,13 @@ def _check_params(epsilon: float, max_depth: int) -> None:
 _Search = namedtuple("_Search", "A root_coeffs point_value tol polish scale")
 
 
-def _decided(search, tensors, epsilon, max_depth, **shared) -> list[Verdict | None]:
+def _decided(search, tensors, epsilon, max_depth, **shared) -> list[Verdict]:
     """``search`` of each of the same-shape ``tensors`` (unit-scaled) in one loop."""
     _check_params(epsilon, max_depth)
     scaled = [unit_scale(A) for A in tensors]
     found = _min_search([search(A) for A, _ in scaled], epsilon=epsilon,
                         max_depth=max_depth, **shared)
-    return [v and _in_units(v, e) for v, (_, e) in zip(found, scaled)]
+    return [_in_units(v, e) for v, (_, e) in zip(found, scaled)]
 
 
 def decide_all_components_negative(
@@ -349,21 +349,20 @@ def decide_all_components_negative(
     max_depth: int = DEFAULT_MAX_DEPTH,
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
-    interior_margin: float = INTERIOR_MARGIN,
 ) -> Verdict:
     """Decide whether some ``y > 0`` drives every component of ``apply(A, y)`` negative.
 
     ``strict=True`` asks for all components ``< 0``, ``strict=False`` for
     ``<= 0``.  Fails means such a ``y`` exists and carries it (interior, with
-    margin ``interior_margin``); Holds certifies that none exists; an exhausted
+    margin ``INTERIOR_MARGIN``); Holds certifies that none exists; an exhausted
     budget is Inconclusive.  Holds is the claim ``max_k >= 0`` on the simplex
     (``> 0`` when not ``strict``), so the class strictness is ``not strict``.
     """
-    return _components_negative([A], strict, epsilon, max_depth, max_nodes, interior_margin)[0]
+    return _components_negative([A], strict, epsilon, max_depth, max_nodes)[0]
 
 
 def _components_negative(tensors, strict, epsilon, max_depth, max_nodes=DEFAULT_MAX_NODES,
-                         floor=INTERIOR_MARGIN, stop=FAILS) -> list[Verdict | None]:
+                         floor=INTERIOR_MARGIN, stop=FAILS) -> list[Verdict]:
     """The component search of each tensor, up to the first that ends ``stop``."""
 
     def search(A):
@@ -454,7 +453,7 @@ def _candidate_values(G: np.ndarray, r: int) -> np.ndarray:
 
 
 def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_nodes,
-                stop) -> list[Verdict | None]:
+                stop) -> list[Verdict]:
     """Level-by-level hunt for a point whose ``point_value`` falls short of the class.
 
     The class asks ``point_value >= 0`` (``> 0`` if ``strict``) on the
@@ -465,7 +464,8 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
     bound among them), whatever its search, is bisected at its longest edge
     in one set of array operations.  A point that falls short, with no
     coordinate below the ``floor``, is a witness; every verdict reports its
-    root bound as ``worst_bound``.
+    root bound as ``worst_bound``.  A search whose next split would pass
+    ``max_nodes`` ends Inconclusive with the nodes and depth it built.
 
     Whether a leaf is refined depends only on its own bound and its
     ancestors', never on the order, so a Holds refines the same leaves, and
@@ -478,8 +478,9 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
 
     Each of ``searches`` (all of one shape) is such a hunt in one shared loop,
     ending as it would alone; it polishes its queued starts once every search
-    before it has ended.  Those after the first that ends ``stop``, and those a
-    level past ``_LEVEL_BYTES`` leaves out, are dropped (None).
+    before it has ended.  Returns the verdicts settled in order, a prefix of
+    ``searches``: it ends at the first that ends ``stop``, or before the first
+    that a level past ``_LEVEL_BYTES`` leaves out.
     """
     count, n = len(searches), searches[0].A.dim
     span = n ** len(coeff_axes)
@@ -505,11 +506,11 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
         return Verdict.fails(y, lambda p: witness_ok(s, p), epsilon=epsilon, nodes=at_nodes,
                              depth=at_depth, worst_bound=worst[s])
 
-    def end(s, status, levels=0, **info):
-        ended[s] = Verdict(status, None, epsilon, int(nodes[s]), depth + levels, worst[s], info)
+    def end(s, status, **info):
+        ended[s] = Verdict(status, None, epsilon, int(nodes[s]), depth, worst[s], info)
         live[s] = False
 
-    def settle():
+    def settle():  # append the verdicts settled in order; True once one ends ``stop``
         while len(found) < count:
             s = len(found)
             while queued[s] and (live[s] or ended[s]):  # a dropped search polishes nothing
@@ -530,8 +531,7 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
                 return
             found.append(ended[s])
             if ended[s].status == stop:
-                live[:] = False
-                found.extend([None] * (count - s - 1))
+                return True
 
     while True:
         keep = ~clears(bounds, tol[sid], strict)
@@ -554,7 +554,8 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
             j = int(values[i].argmin())
             queued[sid[i]].append((depth, int(nodes[sid[i]]), best[i],
                                    V[i].mean(axis=0) if j == 0 else V[i, j - 1]))
-        settle()
+        if settle():
+            return found
 
         if depth >= max_depth:
             for s in live.nonzero()[0]:
@@ -563,12 +564,8 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
         leaves = np.bincount(sid, minlength=count)
         most += 2 * len(sid)
         if most > max_nodes:
-            room = np.maximum(max_nodes - nodes, 0) // 2
-            for s in (live & (room < leaves)).nonzero()[0]:
-                # the budget splits ``room`` more leaves, the least bounds first,
-                # and ends the search there: their children are counted, not built
-                nodes[s] += 2 * room[s]
-                end(s, INCONCLUSIVE, 1 if room[s] else 0, limit="max_nodes")
+            for s in (live & (nodes + 2 * leaves > max_nodes)).nonzero()[0]:
+                end(s, INCONCLUSIVE, limit="max_nodes")
         if C.nbytes > _LEVEL_BYTES:  # the searches past it run on their own turn
             live &= (np.cumsum(leaves * live) - leaves[live.argmax()]) * C[0].nbytes < _LEVEL_BYTES
         keep = live[sid]
@@ -583,7 +580,7 @@ def _min_search(searches, *, coeff_axes, strict, floor, epsilon, max_depth, max_
         nodes += 2 * leaves
         depth += 1
     settle()
-    return found + [None] * (count - len(found))
+    return found
 
 
 def search_nonneg_solution(
@@ -629,4 +626,4 @@ def _nonneg_solutions(tensors, strict, epsilon, max_depth, max_nodes=DEFAULT_MAX
             return Verdict(INCONCLUSIVE, None, epsilon, v.nodes, v.depth, worst, v.info)
         return Verdict(FAILS, None, epsilon, v.nodes, v.depth, worst, {"reason": "no_solution"})
 
-    return [v and _in_units(swapped(A, v), e) for (A, e), v in zip(scaled, found)]
+    return [_in_units(swapped(A, v), e) for (A, e), v in zip(scaled, found)]

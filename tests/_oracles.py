@@ -4,8 +4,9 @@ Everything here is deliberately naive: plain Python loops over index tuples,
 dense grid scans of the simplex, and the engine's search one leaf at a time.
 None of it shares code with the library paths it validates; the best-first
 search reuses only the verdict, tolerance and polishing pieces that are not
-what it checks, and takes its edges, children and point values from
-``tenclass.reference``, which shares no code with the engine.
+what it checks, takes its edges and children from ``tenclass.reference``,
+which shares no code with the engine, and its point values from that
+module's batch einsums.
 """
 
 import heapq
@@ -107,6 +108,24 @@ def replace_vertex(coeffs: np.ndarray, axes, p: int, q: int) -> np.ndarray:
     return out
 
 
+_PATHS = {}  # the greedy contraction path of each (subscripts, n, point count)
+
+
+def batch_values(A, points, form: bool) -> np.ndarray:
+    """``reference.form_batch`` of ``A`` at ``points`` (``form``), else the row
+    maxima of ``reference.apply_batch``: the same einsum, with the greedy path
+    that ``optimize=True`` plans, planned once per shape."""
+    modes = "abcdefgh"[: A.order if form else A.order - 1]
+    subs = ",".join([modes if form else "z" + modes] + ["t" + c for c in modes]) \
+        + ("->t" if form else "->tz")
+    operands = (A.data, *(points,) * len(modes))
+    key = (subs, A.dim, len(points))
+    if key not in _PATHS:
+        _PATHS[key] = np.einsum_path(subs, *operands, optimize="greedy")[0]
+    out = np.einsum(subs, *operands, optimize=_PATHS[key])
+    return out if form else out.max(axis=1)
+
+
 def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, floor,
                       polish, epsilon, max_depth, max_nodes):
     """The engine's search one leaf at a time, least bound first, from a heap.
@@ -115,11 +134,11 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
     runs a batch through it): it pops the least bound (a NaN
     as ``-inf``), certifies on the first pop that clears, and evaluates each
     popped leaf's candidates (the centroid, then the vertices) by contracting
-    ``A`` at the points; like the engine, it polishes each start once.  Heap
-    entries are ``(key, seq, depth, vertices, coeffs)``.
+    ``A`` at the points (:func:`batch_values`); like the engine, it polishes
+    each start once.  Heap entries are ``(key, seq, depth, vertices, coeffs)``.
     """
     from tenclass.core import clears, falls_short, tolerance
-    from tenclass.reference import Simplex, apply_batch, form_batch
+    from tenclass.reference import Simplex
     from tenclass.subdivision import _POLISH_TRIGGER, HOLDS, INCONCLUSIVE, Verdict
 
     n = A.dim
@@ -127,9 +146,6 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
 
     def leaf_bound(c):
         return float(c.min()) if form else float(c.reshape(n, -1).min(axis=1).max())
-
-    def candidate_values(points):
-        return form_batch(A, points) if form else apply_batch(A, points).max(axis=1)
 
     def key(lb):
         return -math.inf if math.isnan(lb) else lb
@@ -159,7 +175,7 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
         if len(V) == 1:
             return fails(V[0])
         points = np.vstack((V.mean(axis=0), V))
-        values = candidate_values(points)
+        values = batch_values(A, points, form)
         best_idx = int(values.argmin())
         start = points[best_idx]
         if float(values[best_idx]) < polish_gate and start.tobytes() not in polished:
@@ -190,14 +206,14 @@ def best_first_search(A, root_coeffs, coeff_axes, point_value, *, strict, tol, f
 def best_first_searches(searches, *, coeff_axes, stop, **shared):
     """:func:`best_first_search` run on each search of a batch in turn, in the
     signature of ``subdivision._min_search``: the verdicts up to the first
-    that ends ``stop``, None for every search after it."""
+    that ends ``stop``."""
     out = []
     for s in searches:
         out.append(best_first_search(s.A, s.root_coeffs, coeff_axes, s.point_value,
                                      tol=s.tol, polish=s.polish, **shared))
         if out[-1].status == stop:
             break
-    return out + [None] * (len(searches) - len(out))
+    return out
 
 
 def loop_apply_jacobian(data: np.ndarray, x) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import sys
 from dataclasses import fields
 
@@ -41,10 +42,12 @@ from tenclass import (
 from tenclass import spectral, subdivision
 from tenclass.classifiers import (
     CLASS_NAMES,
+    CLASSES,
     Config,
     NotZTensorError,
     SubsetCapError,
     TensorClassifier,
+    _both,
 )
 from tenclass.tensor_io import canonical_dumps
 from tenclass.verify import _gen_diag_dominant
@@ -484,9 +487,9 @@ class TestSizeGroups:
         dropped = []
         search = subdivision._min_search
 
-        def counting(*args, **kwargs):
-            found = search(*args, **kwargs)
-            dropped.append(found.count(None))
+        def counting(batch, **kwargs):
+            found = search(batch, **kwargs)
+            dropped.append(len(batch) - len(found))
             return found
 
         monkeypatch.setattr(subdivision, "_LEVEL_BYTES", 1)
@@ -656,6 +659,28 @@ _SHORTHANDS = [
         (is_completely_s0, {}, "completelyS0"),
     )
 ]
+
+
+class TestTheoremRules:
+    """A rule that reads two terms is decisive only where both are."""
+
+    @pytest.mark.parametrize("combine", [operator.eq, operator.or_])
+    @pytest.mark.parametrize("decided", [HOLDS, FAILS])
+    def test_both_with_an_undecided_term_is_inconclusive(self, combine, decided):
+        undecided = [lambda c: INCONCLUSIVE, lambda c: decided]
+        assert _both(combine, *undecided)(None) == INCONCLUSIVE
+        assert _both(combine, *undecided[::-1])(None) == INCONCLUSIVE
+
+    @pytest.mark.parametrize("name", ["almostE0", "almostC0"])
+    def test_iff_rule_with_an_undecided_class_is_inconclusive(self, monkeypatch, name):
+        # the identity is symmetric and in neither class, so the rule reaches its iff
+        A = Tensor.identity(3, 2)
+        rule = "sym_almostE0_iff_almostC0"
+        assert TensorClassifier(A).status(rule) == HOLDS
+        assert TensorClassifier(A).verdict(name).status == FAILS
+        monkeypatch.setitem(CLASSES, name,
+                            lambda c: Verdict(INCONCLUSIVE, None, 1e-9, 0, 0, None))
+        assert TensorClassifier(A).status(rule) == INCONCLUSIVE
 
 
 class TestOnePath:

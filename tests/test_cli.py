@@ -19,6 +19,12 @@ def write_tensor(path, doc):
     return str(path)
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def almost_e0_file(tmp_path, almost_e0_tensor):
     path = tmp_path / "almost_e0.json"
@@ -174,6 +180,19 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["--epsilon", "abc", "fixtures"], ["classify"]],
+                             ids=["epsilon-not-a-number", "classify-without-file"])
+    def test_parser_errors(self, capsys, argv):
+        # argparse errors leave through the same exit, not its usage block and exit 2
+        assert main(argv) == 1
+        assert_one_error_line(capsys)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         f = write_tensor(tmp_path / "typo.json", '{"order": 3, "dim": 2, '
                                                  '"entires": [[[0, 0, 0], -1.0]]}')
@@ -234,10 +253,10 @@ class TestSpectralCommand:
         assert main(["spectral", f, "--eigenpair"]) == 1
         assert "symmetric" in capsys.readouterr().err
 
-    def test_flags_are_exclusive(self, tmp_path, almost_e_tensor):
+    def test_flags_are_exclusive(self, tmp_path, almost_e_tensor, capsys):
         f = write_tensor(tmp_path / "t.json", tensor_to_json(almost_e_tensor))
-        with pytest.raises(SystemExit):
-            main(["spectral", f, "--radius", "--eigenpair"])
+        assert main(["spectral", f, "--radius", "--eigenpair"]) == 1
+        assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:
@@ -264,9 +283,9 @@ class TestVerifyCommand:
         assert not out.exists()
         assert capsys.readouterr().err == "error: count must be at least 1\n"
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "bogus"])
+    def test_unknown_suite_rejected(self, capsys):
+        assert main(["verify", "bogus"]) == 1
+        assert_one_error_line(capsys)
 
     def test_violations_are_written_for_triage(self, tmp_path, monkeypatch, capsys):
         # a broken E0 predicate violates dd_nonneg_diag_implies_E0 on every

@@ -68,7 +68,7 @@ class TestBatchContractions:
             else:
                 expected = np.einsum(_apply_batch_subscripts(m), A.data,
                                      *[X] * (m - 1), optimize=True)
-            # the second call runs from the cached plan
+            # a repeat call returns the same array
             for _ in range(2):
                 got = apply_batch(A, X)
                 assert got.shape == expected.shape

@@ -219,6 +219,23 @@ class TestEigenpairSearch:
         assert residual(A, pair) <= 1e-9 * float(np.max(np.abs(A.data)))
         assert np.min(pair.x) > 1e-6
 
+    @pytest.mark.parametrize("nonpositive", [False, True])
+    def test_newton_from_the_starts_keeps_an_interior_pair(self, nonpositive):
+        # the 5th draw of this stream, symmetrized (order 3, dim 4, largest
+        # entry 2e-4): the descent from every fixed start slides to a boundary
+        # minimum, while Newton from a start itself reaches the interior pair
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            m, n = rng.integers(3, 5), rng.integers(2, 5)
+            s = 10 ** rng.uniform(-5, 5)
+            data = rng.uniform(-1, 1, (n,) * m) * s
+        A = symmetrize(Tensor(data))
+        pair = find_negative_hpp_eigenpair(A, tol=1e-9, nonpositive=nonpositive)
+        assert pair is not None
+        assert pair.lam == pytest.approx(-3.3377e-4, abs=1e-8)
+        assert residual(A, pair) <= 1e-9 * float(np.max(np.abs(A.data)))
+        assert np.min(pair.x) > 1e-6
+
 
 class TestResidual:
     def test_exact_pair(self):
