@@ -45,6 +45,7 @@ from .subdivision import (
     INCONCLUSIVE,
     INTERIOR_MARGIN,
     Verdict,
+    _check_count,
     _check_params,
     decide_all_components_negative,  # these three are bound for benchmarks/tracing.py
     decide_form_nonneg,
@@ -95,6 +96,7 @@ class Config:
 
     def __post_init__(self):
         _check_params(self.epsilon, self.max_depth)
+        _check_count("subset_cap", self.subset_cap)
 
     def to_json(self) -> dict:
         return {

@@ -38,6 +38,8 @@ def _cmd_classify(args, config) -> int:
 
 
 def _cmd_spectral(args, config) -> int:
+    if args.radius and args.nonpositive:
+        raise ValueError("--nonpositive applies only to --eigenpair")
     A = load_tensor(args.file)
     tol = max(config.epsilon, 1e-14)
     if args.radius:
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
                        help="search for a negative eigenvalue with positive eigenvector "
                             "(symmetric tensors)")
     p.add_argument("--nonpositive", action="store_true",
-                   help="accept nonpositive eigenvalues too")
+                   help="with --eigenpair, accept nonpositive eigenvalues too")
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("verify", help="run a theorem property suite (or all)")

@@ -93,7 +93,8 @@ class Tensor:
         )
 
     def __hash__(self):
-        return hash((self._data.shape, self._data.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == already treats as equal
+        return hash((self._data.shape, (self._data + 0.0).tobytes()))
 
     # -- constructors ------------------------------------------------------
 

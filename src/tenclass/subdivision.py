@@ -322,11 +322,16 @@ def _equalize(A: Tensor, y0, floor, scale: float, iters: int = 15):
 # searches
 
 
+def _check_count(name: str, value: int) -> None:
+    # a bool is an int to Python, and a float cap would be truncated silently
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1")
+
+
 def _check_params(epsilon: float, max_depth: int) -> None:
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    _check_count("max_depth", max_depth)
 
 
 # one search of a batch, on a unit-scale ``A`` with ``scale = tolerance(A, 1.0)``

@@ -33,7 +33,7 @@ from .core import (
     symmetrize,
 )
 from .spectral import spectral_radius_nonneg
-from .subdivision import FAILS, HOLDS, INCONCLUSIVE
+from .subdivision import FAILS, HOLDS, INCONCLUSIVE, _check_count
 from .tensor_io import parse_tensor, tensor_to_json
 
 __all__ = [
@@ -51,10 +51,6 @@ __all__ = [
 
 # (order, dim) sweep for suite instances
 _SIZES = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4))
-# seeded almost-instances repeat (4, 2) in place of (4, 4) only because the
-# seed-7 report is pinned: sampling at (4, 4) takes milliseconds, but putting
-# it back changes which instances the suites draw, and so that report
-_SIZES_SEEDED = ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 2))
 
 
 class RejectionBudgetError(RuntimeError):
@@ -221,10 +217,19 @@ def _checks(i, config, *checks):
     return ("inconclusive", None) if undecided else ("ok", None)
 
 
-def _suite(salt, sizes, body, deep=False):
-    """Suite instance runner: ``body(i, rng, m, n, config)`` gives the outcome of
-    instance ``i`` on the ``default_rng([seed, salt, i])`` stream at shape
-    ``sizes[i % len(sizes)]``.
+def _sweep(i: int, kinds: tuple) -> tuple:
+    """The kind and ``(order, dim)`` shape of suite instance ``i``.
+
+    The kinds cycle fastest, so every ``len(kinds) * len(_SIZES)`` instances
+    meet each kind at each shape once.
+    """
+    return kinds[i % len(kinds)], _SIZES[(i // len(kinds)) % len(_SIZES)]
+
+
+def _suite(salt, body, kinds=(None,), deep=False):
+    """Suite instance runner: ``body(i, kind, rng, m, n, config)`` gives the
+    outcome of instance ``i`` on the ``default_rng([seed, salt, i])`` stream, at
+    the kind and shape ``(m, n)`` that ``_sweep(i, kinds)`` assigns it.
 
     ``deep`` raises the depth cap to 128, for suites that certify around a
     point where an image vanishes (the leaf size must fall below epsilon
@@ -233,29 +238,29 @@ def _suite(salt, sizes, body, deep=False):
     def run(i, seed, config):
         if deep:
             config = replace(config, max_depth=max(config.max_depth, 128))
-        m, n = sizes[i % len(sizes)]
-        return body(i, np.random.default_rng([seed, salt, i]), m, n, config)
+        kind, (m, n) = _sweep(i, kinds)
+        return body(i, kind, np.random.default_rng([seed, salt, i]), m, n, config)
+    run.kinds = kinds  # so the sweep a suite runs can be read back through _sweep
     return run
 
 
-def _dd(i, rng, m, n, config):
+def _dd(i, _, rng, m, n, config):
     A = _gen_diag_dominant(rng, m, n, False)
     return _checks(i, config, (A, "dd_nonneg_diag_implies_E0"))
 
 
-def _sdd(i, rng, m, n, config):
+def _sdd(i, _, rng, m, n, config):
     A = _gen_diag_dominant(rng, m, n, True)
     return _checks(i, config, (A, "sdd_positive_diag_implies_E"))
 
 
-def _nonneg(i, rng, m, n, config):
+def _nonneg(i, _, rng, m, n, config):
     A = _gen_nonneg(rng, m, n)
     return _checks(i, config, (A, "nonneg_implies_E0"),
                    (Tensor(A.data + 0.05), "positive_implies_E"))
 
 
-def _z(i, rng, m, n, config):
-    factor = (0.5, 1.0, 1.5)[i % 3]
+def _z(i, factor, rng, m, n, config):
     A = _gen_z(rng, m, n, factor)
     # t at the midpoint of the radius enclosure sits on the E boundary, which
     # is not numerically decidable; the E / strong M equivalence is exercised
@@ -264,44 +269,37 @@ def _z(i, rng, m, n, config):
     return _checks(i, config, *((A, rule) for rule in rules))
 
 
-def _cop_implies_semi(i, rng, m, n, config):
+def _cop_implies_semi(i, symmetric, rng, m, n, config):
     A = Tensor(rng.uniform(-0.3, 1.0, (n,) * m))
-    return _checks(i, config, (symmetrize(A) if i % 2 else A, "C0_implies_E0"))
+    return _checks(i, config, (symmetrize(A) if symmetric else A, "C0_implies_E0"))
 
 
-def _sym_semi_implies_cop(i, rng, m, n, config):
-    A = _gen_symmetric(rng, m, n, shift=(0.0, 0.5, 1.5)[i % 3])
+def _sym_semi_implies_cop(i, shift, rng, m, n, config):
+    A = _gen_symmetric(rng, m, n, shift=shift)
     return _checks(i, config, (A, "sym_E0_implies_C0"))
 
 
-def _sym_almost_seed(which: int) -> Tensor:
-    """Symmetric tensors in the almost classes, built from fixed entry patterns."""
-    if which == 0:
-        A = Tensor.from_coo(3, 2, [
-            ((0, 0, 0), 1.0), ((0, 0, 1), -2.0), ((1, 0, 1), -3.0), ((1, 1, 1), 1.0),
-        ])
-    else:
-        A = Tensor.from_coo(3, 2, [
-            ((0, 0, 0), 1.0), ((1, 1, 1), 1.0), ((0, 1, 1), -1.0), ((1, 0, 0), -1.0),
-        ])
-    return symmetrize(A)
+# symmetric (3, 2) tensors in the almost classes, built from fixed entry patterns
+_SYM_ALMOST = tuple(symmetrize(Tensor.from_coo(3, 2, entries)) for entries in (
+    [((0, 0, 0), 1.0), ((0, 0, 1), -2.0), ((1, 0, 1), -3.0), ((1, 1, 1), 1.0)],
+    [((0, 0, 0), 1.0), ((1, 1, 1), 1.0), ((0, 1, 1), -1.0), ((1, 0, 0), -1.0)],
+))
 
 
-def _sym_almost_iff(i, rng, m, n, config):
-    kind = i % 3
-    if kind == 0:
-        A = _gen_symmetric(rng, m, n, shift=(0.0, 0.4)[i % 2])
+def _sym_almost_iff(i, kind, rng, m, n, config):
+    """``kind`` is the shift of a random symmetric draw, or one of the
+    ``_SYM_ALMOST`` patterns, which is drawn at (3, 2) whatever the shape."""
+    if isinstance(kind, Tensor):
+        # conjugate the pattern by a positive diagonal and a permutation; both
+        # transforms preserve the class and the symmetry
+        d = rng.uniform(0.5, 2.0, kind.dim)
+        A = permute(scale_rows(scale_modes(kind, d), d), rng.permutation(kind.dim))
     else:
-        # conjugate a symmetric almost-class tensor by a positive diagonal and
-        # a permutation; both transforms preserve the class and the symmetry
-        A = _sym_almost_seed(kind - 1)
-        d = rng.uniform(0.5, 2.0, A.dim)
-        A = scale_rows(scale_modes(A, d), d)
-        A = permute(A, rng.permutation(A.dim))
+        A = _gen_symmetric(rng, m, n, shift=kind)
     return _checks(i, config, (A, "sym_almostE0_iff_almostC0"), (A, "sym_almostE_iff_almostC"))
 
 
-def _almost_invariance(i, rng, m, n, config):
+def _almost_invariance(i, _, rng, m, n, config):
     A, _ = _gen_almost_e0(rng, m, n, config)
     base = TensorClassifier(A, config).status("almostE0")
     if base == INCONCLUSIVE:
@@ -331,17 +329,17 @@ def _stabilized(rng, m, n, config):
     return A, x, add(A, stabilizing_diagonal(A, x))
 
 
-def _almost_rows(i, rng, m, n, config):
+def _almost_rows(i, _, rng, m, n, config):
     A, _, A2 = _stabilized(rng, m, n, config)
     return _checks(i, config, (A, "noNonnegRowSubtensor"), (A2, "noNonnegRowSubtensor"))
 
 
-def _almost_entries(i, rng, m, n, config):
+def _almost_entries(i, _, rng, m, n, config):
     A, _, A2 = _stabilized(rng, m, n, config)
     return _checks(i, config, (A, "entrySigns"), (A2, "strictEntrySigns"))
 
 
-def _stabilizer(i, rng, m, n, config):
+def _stabilizer(i, _, rng, m, n, config):
     A, x, A2 = _stabilized(rng, m, n, config)
     res = float(np.max(np.abs(apply(A2, x))))
     if res > 1e-10:
@@ -349,35 +347,35 @@ def _stabilizer(i, rng, m, n, config):
     return _checks(i, config, (A2, "almostE"), (A2, "completelyS0"))
 
 
-def _trichotomy(i, rng, m, n, config):
+def _trichotomy(i, _, rng, m, n, config):
     _, _, A2 = _stabilized(rng, m, n, config)
     return _checks(i, config, (A2, "almostE"), (A2, "almostE_outside_trichotomy"))
 
 
 SUITES = {
-    "dd_implies_E0": (_suite(20, _SIZES, _dd), 200,
+    "dd_implies_E0": (_suite(20, _dd), 200,
                       "diagonal dominance with nonnegative diagonal implies E0"),
-    "sdd_implies_E": (_suite(21, _SIZES, _sdd), 200,
+    "sdd_implies_E": (_suite(21, _sdd), 200,
                       "strict diagonal dominance with positive diagonal implies E"),
-    "nonneg_implies_E0": (_suite(22, _SIZES, _nonneg), 200,
+    "nonneg_implies_E0": (_suite(22, _nonneg), 200,
                           "nonnegative implies E0; positive implies E"),
-    "z_E0_iff_M": (_suite(23, _SIZES, _z, deep=True), 200,
+    "z_E0_iff_M": (_suite(23, _z, (0.5, 1.0, 1.5), deep=True), 200,
                    "for Z-tensors: E0 iff M, E iff strong M (t swept around rho)"),
-    "copositive_implies_semipositive": (_suite(24, _SIZES, _cop_implies_semi), 200,
+    "copositive_implies_semipositive": (_suite(24, _cop_implies_semi, (False, True)), 200,
                                         "copositive implies semi-positive"),
-    "sym_semipositive_implies_copositive": (_suite(25, _SIZES, _sym_semi_implies_cop), 200,
-                                            "symmetric semi-positive implies copositive"),
-    "sym_almostE0_iff_almostC0": (_suite(26, _SIZES, _sym_almost_iff), 200,
+    "sym_semipositive_implies_copositive": (_suite(25, _sym_semi_implies_cop, (0.0, 0.5, 1.5)),
+                                            200, "symmetric semi-positive implies copositive"),
+    "sym_almostE0_iff_almostC0": (_suite(26, _sym_almost_iff, (0.0, 0.4, *_SYM_ALMOST)), 200,
                                   "symmetric: almost E0 iff almost C0, almost E iff almost C"),
-    "almost_invariance": (_suite(27, _SIZES_SEEDED, _almost_invariance), 200,
+    "almost_invariance": (_suite(27, _almost_invariance), 200,
                           "almost classes invariant under diagonal scalings and permutation"),
-    "almost_row_negative": (_suite(28, _SIZES_SEEDED, _almost_rows), 200,
+    "almost_row_negative": (_suite(28, _almost_rows), 200,
                             "almost-class members have a negative entry in every row subtensor"),
-    "almost_entry_conditions": (_suite(29, _SIZES_SEEDED, _almost_entries), 200,
+    "almost_entry_conditions": (_suite(29, _almost_entries), 200,
                                 "almost-class members satisfy the entry-sign conditions"),
-    "stabilizer": (_suite(30, _SIZES_SEEDED, _stabilizer), 50,
+    "stabilizer": (_suite(30, _stabilizer), 50,
                    "adding the stabilizing diagonal gives an almost-E, completely-S0 tensor"),
-    "almost_E_trichotomy": (_suite(31, _SIZES_SEEDED, _trichotomy, deep=True), 200,
+    "almost_E_trichotomy": (_suite(31, _trichotomy, deep=True), 200,
                             "almost E implies almost E0 or E0"),
 }
 
@@ -387,14 +385,21 @@ def _suite_instance(name: str, seed: int, config: Config, i: int):
     return SUITES[name][0](i, seed, config)
 
 
-def _run_instances(jobs: list[tuple[str, int]], seed: int, config: Config,
-                   threads: int | None) -> list:
-    """Results of the ``(suite name, instance)`` jobs, in order.
+def _run(names, seed: int, count: int | None, config: Config | None,
+         threads: int | None) -> dict:
+    """Report of each suite in ``names``, at ``count`` instances or its own count.
 
-    With more than one worker (at most ``threads``, one per CPU) the jobs run
-    in freshly spawned worker processes; the ordered ``map`` keeps the results
-    independent of the worker count.
+    The instances of all the suites share one worker pool.  With more than one
+    worker (at most ``threads``, one per CPU) they run in freshly spawned
+    worker processes; the ordered ``map`` keeps the reports independent of the
+    worker count.
     """
+    if count is not None:
+        # a suite of no instances would pass a gate that checked nothing
+        _check_count("count", count)
+    config = config or Config()
+    counts = {name: SUITES[name][1] if count is None else count for name in names}
+    jobs = [(name, i) for name, c in counts.items() for i in range(c)]
     threads = thread_count() if threads is None else max(1, threads)
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     args = ([name for name, _ in jobs], repeat(seed), repeat(config), [i for _, i in jobs])
@@ -404,29 +409,22 @@ def _run_instances(jobs: list[tuple[str, int]], seed: int, config: Config,
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            return list(pool.map(_suite_instance, *args))
-    return list(map(_suite_instance, *args))
-
-
-def _suite_report(name: str, seed: int, config: Config, results: list) -> dict:
-    violations = [detail for status, detail in results if status == "violation"]
-    inconclusive = sum(1 for status, _ in results if status == "inconclusive")
-    return {
-        "suite": name,
-        "description": SUITES[name][2],
-        "seed": seed,
-        "instances": len(results),
-        "violations": violations,
-        "inconclusive": inconclusive,
-        "config": config.to_json(),
-    }
-
-
-def _at_least_one(count: int) -> int:
-    # a suite of no instances would pass a gate that checked nothing
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return count
+            results = iter(list(pool.map(_suite_instance, *args)))
+    else:
+        results = map(_suite_instance, *args)
+    reports = {}
+    for name, c in counts.items():
+        statuses, details = zip(*islice(results, c))
+        reports[name] = {
+            "suite": name,
+            "description": SUITES[name][2],
+            "seed": seed,
+            "instances": c,
+            "violations": [d for s, d in zip(statuses, details) if s == "violation"],
+            "inconclusive": statuses.count("inconclusive"),
+            "config": config.to_json(),
+        }
+    return reports
 
 
 def run_suite(name: str, seed: int = 0, count: int | None = None,
@@ -434,30 +432,18 @@ def run_suite(name: str, seed: int = 0, count: int | None = None,
     """Run one suite; the report is deterministic for fixed (seed, config)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    count = SUITES[name][1] if count is None else _at_least_one(count)
-    config = config or Config()
-    results = _run_instances([(name, i) for i in range(count)], seed, config, threads)
-    return _suite_report(name, seed, config, results)
+    return _run([name], seed, count, config, threads)[name]
 
 
 def run_all(seed: int = 0, count: int | None = None, config: Config | None = None,
             threads: int | None = None) -> dict:
     """Run every suite; the instances of all suites share one worker pool."""
-    config = config or Config()
-    counts = {name: default if count is None else _at_least_one(count)
-              for name, (_, default, _) in SUITES.items()}
-    jobs = [(name, i) for name, c in counts.items() for i in range(c)]
-    results = iter(_run_instances(jobs, seed, config, threads))
-    reports = {name: _suite_report(name, seed, config, list(islice(results, c)))
-               for name, c in counts.items()}
-    total_violations = sum(len(r["violations"]) for r in reports.values())
-    total_inconclusive = sum(r["inconclusive"] for r in reports.values())
-    total_instances = sum(r["instances"] for r in reports.values())
+    reports = _run(SUITES, seed, count, config, threads)
     return {
         "seed": seed,
-        "instances": total_instances,
-        "violations": total_violations,
-        "inconclusive": total_inconclusive,
+        "instances": sum(r["instances"] for r in reports.values()),
+        "violations": sum(len(r["violations"]) for r in reports.values()),
+        "inconclusive": sum(r["inconclusive"] for r in reports.values()),
         "suites": reports,
     }
 

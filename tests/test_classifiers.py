@@ -598,6 +598,21 @@ class TestClassify:
         assert "s0_certify_cap" not in doc["config"]
         assert "seed" not in doc["config"]
 
+    @pytest.mark.parametrize("field,value", [("max_depth", 2.5), ("max_depth", True),
+                                             ("max_depth", 0), ("subset_cap", 0),
+                                             ("subset_cap", 12.0), ("subset_cap", False)])
+    def test_config_caps_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+            Config(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        config = Config(max_depth=np.int64(40), subset_cap=np.int32(5))
+        assert (config.to_json()["max_depth"], config.to_json()["subset_cap"]) == (40, 5)
+
+    def test_searches_reject_a_float_depth_cap(self):
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            decide_all_components_negative(Tensor.identity(3, 2), True, max_depth=2.5)
+
     def test_flags_serialize_as_booleans(self):
         fixture = next(f for f in load_fixtures() if f.name == "zero_order3_dim2")
         text = canonical_dumps(classify(fixture.tensor).to_json(), indent=2)

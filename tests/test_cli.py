@@ -187,6 +187,10 @@ class TestErrorExit:
         assert main(argv) == 1
         assert_one_error_line(capsys)
 
+    def test_subset_cap_0(self, capsys):
+        assert main(["--subset-cap", "0", "fixtures"]) == 1
+        assert capsys.readouterr().err == "error: subset_cap must be an integer of at least 1\n"
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
@@ -258,6 +262,11 @@ class TestSpectralCommand:
         assert main(["spectral", f, "--radius", "--eigenpair"]) == 1
         assert_one_error_line(capsys)
 
+    def test_nonpositive_needs_eigenpair(self, tmp_path, capsys):
+        f = write_tensor(tmp_path / "t.json", tensor_to_json(Tensor.identity(3, 2)))
+        assert main(["spectral", f, "--radius", "--nonpositive"]) == 1
+        assert_one_error_line(capsys)
+
 
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path):
@@ -281,7 +290,7 @@ class TestVerifyCommand:
         out = tmp_path / "r.json"
         assert main(["--out", str(out), "verify", suite, "--count", count]) == 1
         assert not out.exists()
-        assert capsys.readouterr().err == "error: count must be at least 1\n"
+        assert capsys.readouterr().err == "error: count must be an integer of at least 1\n"
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "bogus"]) == 1

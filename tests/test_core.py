@@ -72,6 +72,12 @@ class TestTensorType:
         with pytest.raises(ValueError, match="out of range"):
             Tensor.from_coo(3, 2, [((0, 0, 2), 1.0)])
 
+    def test_signed_zeros_hash_equal(self):
+        # == compares values, so -0.0 and 0.0 entries must hash alike
+        A, B = Tensor(np.zeros((2, 2, 2))), Tensor(-np.zeros((2, 2, 2)))
+        assert A == B and hash(A) == hash(B)
+        assert len({A, B}) == 1
+
 
 class TestApply:
     def test_identity_gives_powers(self):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from tenclass.classifiers import (
     classify,
 )
 from tenclass.subdivision import FAILS, INCONCLUSIVE, Verdict
-from tenclass.verify import SUITES, _gen_almost_e0, thread_count
+from tenclass.verify import _SIZES, _SYM_ALMOST, SUITES, _gen_almost_e0, _sweep, thread_count
 
 
 class TestGenerators:
@@ -89,9 +91,29 @@ class TestSuites:
         }
         assert required <= set(SUITES)
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_kind_meets_every_shape(self, name):
+        run, count, _ = SUITES[name]
+        reached = [_sweep(i, run.kinds) for i in range(count)]
+        assert all(pair in reached for pair in product(run.kinds, _SIZES))
+
+    def test_fixed_patterns_draw_at_3_2(self):
+        # the one exception to the sweep: the symmetric almost suite assigns its
+        # two fixed almost-class patterns every shape, but they always draw (3, 2)
+        assert set(_SYM_ALMOST) <= set(SUITES["sym_almostE0_iff_almostC0"][0].kinds)
+        assert [(T.order, T.dim) for T in _SYM_ALMOST] == [(3, 2), (3, 2)]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("no_such_suite")
+
+    @pytest.mark.parametrize("count", [0, True, 2.5])
+    def test_count_is_a_positive_integer(self, count):
+        # True would run one instance and report "instances": true
+        with pytest.raises(ValueError, match="count must be an integer of at least 1"):
+            run_suite("dd_implies_E0", count=count, threads=1)
+        with pytest.raises(ValueError, match="count must be an integer of at least 1"):
+            run_all(count=count, threads=1)
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_small_batches_clean(self, name):
