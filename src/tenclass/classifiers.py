@@ -276,9 +276,7 @@ class TensorClassifier:
                 "refusing to subsample"
             )
         self._sub: dict[tuple[int, ...], Tensor] = {}
-        self._component: dict[tuple, Verdict] = {}
-        self._form: dict[tuple, Verdict] = {}
-        self._feasible: dict[tuple, Verdict] = {}
+        self._engine: dict[tuple, Verdict] = {}  # by (search, subset, strict)
         self._verdicts: dict[str, Verdict] = {}
         self._full = tuple(range(A.dim))
 
@@ -306,24 +304,25 @@ class TensorClassifier:
         return _memo(self._sub, J, lambda: self.tensor if J == self._full
                      else principal_subtensor(self.tensor, J))
 
-    def _decided(self, cache: dict, J: tuple[int, ...], strict: bool, searches) -> Verdict:
-        """``cache[J, strict]``; a miss is decided with the undecided rest of its size group."""
-        if (J, strict) not in cache:
+    def _decided(self, search, J: tuple[int, ...], strict: bool) -> Verdict:
+        """Cached ``search`` of ``J``; a miss decides the undecided rest of its size group too."""
+        cache = self._engine
+        if (search, J, strict) not in cache:
             batch = [J] + [K for K in combinations(self._full, len(J))
-                           if K > J and (K, strict) not in cache]
-            found = searches([self.subtensor(K) for K in batch], strict,
-                             self.config.epsilon, self.config.max_depth)
-            cache.update(((K, strict), v) for K, v in zip(batch, found))
-        return cache[J, strict]
+                           if K > J and (search, K, strict) not in cache]
+            found = search([self.subtensor(K) for K in batch], strict,
+                           self.config.epsilon, self.config.max_depth)
+            cache.update(((search, K, strict), v) for K, v in zip(batch, found))
+        return cache[search, J, strict]
 
     def component_decision(self, J: tuple[int, ...], engine_strict: bool) -> Verdict:
-        return self._decided(self._component, J, engine_strict, subdivision._components_negative)
+        return self._decided(subdivision._components_negative, J, engine_strict)
 
     def form_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        return self._decided(self._form, J, strict, subdivision._forms_nonneg)
+        return self._decided(subdivision._forms_nonneg, J, strict)
 
     def feasibility_decision(self, J: tuple[int, ...], strict: bool) -> Verdict:
-        return self._decided(self._feasible, J, strict, subdivision._nonneg_solutions)
+        return self._decided(subdivision._nonneg_solutions, J, strict)
 
     # -- scans the ``CLASSES`` rows call --------------------------------------
 

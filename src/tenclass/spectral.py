@@ -29,7 +29,7 @@ from .core import (
     unit_scale,
     unscale,
 )
-from .subdivision import INTERIOR_MARGIN, _polish_descent
+from .subdivision import INTERIOR_MARGIN, _check_count, _polish_descent
 
 __all__ = [
     "EigenPair",
@@ -114,8 +114,9 @@ def spectral_radius_nonneg(B: Tensor, tol: float = RHO_TOL,
     upper end; ``max_iter`` caps all blocks' iterations together (each
     iterating block makes at least one).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    _check_count("max_iter", max_iter)
     if B.order < 2:
         raise ValueError(f"order {B.order} tensor: the spectral radius needs order >= 2")
     _require_nonneg(B)
@@ -225,8 +226,8 @@ def find_negative_hpp_eigenpair(
     on ``core.unit_scale(A)``, with the same eigenvectors, and reports in the
     units of ``A``: a ``lambda`` past the float range is a ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if not is_symmetric(A):
         raise ValueError("symmetric tensor required")
     A, e = unit_scale(A)

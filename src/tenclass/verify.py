@@ -70,8 +70,12 @@ class GeneratorSpec:
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}; "
                              f"choose from {tuple(GENERATORS)}")
-        if self.order < 2 or self.dim < 1 or self.count < 1:
-            raise ValueError("order >= 2, dim >= 1 and count >= 1 required")
+        for name in ("order", "dim", "count"):
+            _check_count(name, getattr(self, name))
+        if self.order < 2:
+            raise ValueError("order must be at least 2")
+        if self.factor is not None and self.kind != "zTensor":
+            raise ValueError(f"factor applies only to the zTensor kind, not {self.kind!r}")
 
 
 def thread_count() -> int:
@@ -226,18 +230,12 @@ def _sweep(i: int, kinds: tuple) -> tuple:
     return kinds[i % len(kinds)], _SIZES[(i // len(kinds)) % len(_SIZES)]
 
 
-def _suite(salt, body, kinds=(None,), deep=False):
+def _suite(salt, body, kinds=(None,)):
     """Suite instance runner: ``body(i, kind, rng, m, n, config)`` gives the
     outcome of instance ``i`` on the ``default_rng([seed, salt, i])`` stream, at
     the kind and shape ``(m, n)`` that ``_sweep(i, kinds)`` assigns it.
-
-    ``deep`` raises the depth cap to 128, for suites that certify around a
-    point where an image vanishes (the leaf size must fall below epsilon
-    divided by the image gradient).
     """
     def run(i, seed, config):
-        if deep:
-            config = replace(config, max_depth=max(config.max_depth, 128))
         kind, (m, n) = _sweep(i, kinds)
         return body(i, kind, np.random.default_rng([seed, salt, i]), m, n, config)
     run.kinds = kinds  # so the sweep a suite runs can be read back through _sweep
@@ -359,7 +357,7 @@ SUITES = {
                       "strict diagonal dominance with positive diagonal implies E"),
     "nonneg_implies_E0": (_suite(22, _nonneg), 200,
                           "nonnegative implies E0; positive implies E"),
-    "z_E0_iff_M": (_suite(23, _z, (0.5, 1.0, 1.5), deep=True), 200,
+    "z_E0_iff_M": (_suite(23, _z, (0.5, 1.0, 1.5)), 200,
                    "for Z-tensors: E0 iff M, E iff strong M (t swept around rho)"),
     "copositive_implies_semipositive": (_suite(24, _cop_implies_semi, (False, True)), 200,
                                         "copositive implies semi-positive"),
@@ -375,7 +373,7 @@ SUITES = {
                                 "almost-class members satisfy the entry-sign conditions"),
     "stabilizer": (_suite(30, _stabilizer), 50,
                    "adding the stabilizing diagonal gives an almost-E, completely-S0 tensor"),
-    "almost_E_trichotomy": (_suite(31, _trichotomy, deep=True), 200,
+    "almost_E_trichotomy": (_suite(31, _trichotomy), 200,
                             "almost E implies almost E0 or E0"),
 }
 
@@ -398,6 +396,8 @@ def _run(names, seed: int, count: int | None, config: Config | None,
         # a suite of no instances would pass a gate that checked nothing
         _check_count("count", count)
     config = config or Config()
+    # where an image vanishes, a leaf must be below epsilon / the image gradient
+    config = replace(config, max_depth=max(config.max_depth, 128))
     counts = {name: SUITES[name][1] if count is None else count for name in names}
     jobs = [(name, i) for name, c in counts.items() for i in range(c)]
     threads = thread_count() if threads is None else max(1, threads)

@@ -505,7 +505,7 @@ class TestSizeGroups:
         c = TensorClassifier(A)
         v = c.verdict("E0")
         assert (v.status, v.info["subset"]) == (FAILS, (0, 2))
-        assert sorted(J for J, _ in c._component) == [(0,), (0, 1), (0, 2), (1,), (2,)]
+        assert sorted(J for _, J, _ in c._engine) == [(0,), (0, 1), (0, 2), (1,), (2,)]
         alone = decide_all_components_negative(principal_subtensor(A, (1, 2)), True)
         assert c.component_decision((1, 2), True).to_json() == alone.to_json()
 

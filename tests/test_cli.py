@@ -348,6 +348,13 @@ class TestGenCommand:
         assert Tensor.from_coo(doc["order"], doc["dim"],
                                [(tuple(i), v) for i, v in doc["entries"]]) == A
 
+    def test_factor_needs_z_kind(self, tmp_path, capsys):
+        # the factor used to be ignored, with exit 0
+        assert main(["--out", str(tmp_path / "out"), "gen", "--kind", "nonneg",
+                     "--factor", "7"]) == 1
+        assert not (tmp_path / "out").exists()
+        assert_one_error_line(capsys)
+
     def test_bad_kind(self, capsys):
         assert main(["gen", "--kind", "bogus"]) == 1
         assert "unknown generator kind" in capsys.readouterr().err

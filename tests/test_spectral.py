@@ -66,8 +66,17 @@ class TestSpectralRadius:
             spectral_radius_nonneg(Tensor.from_coo(3, 2, [((0, 1, 1), -1.0)]))
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            spectral_radius_nonneg(Tensor.ones(3, 2), tol=0.0)
+        # tol=inf ended after one iteration at [3.731, 5.190], marked converged;
+        # tol=nan ran all 3,000 iterations
+        B = Tensor(np.random.default_rng(1).uniform(0.0, 1.0, (3, 3, 3)))
+        for tol in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                spectral_radius_nonneg(B, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, 2.5, True])
+    def test_rejects_a_max_iter_that_is_not_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            spectral_radius_nonneg(Tensor.ones(3, 2), max_iter=max_iter)
 
     def test_rejects_order_one(self):
         with pytest.raises(ValueError, match="order >= 2"):
@@ -154,6 +163,12 @@ class TestEigenpairSearch:
         assert pair.lam == pytest.approx(-1.0, abs=1e-12)
         assert pair.residual <= 1e-10
         assert np.min(pair.x) > 1e-6
+
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_rejects_bad_tol(self, tol):
+        # with tol=inf and nonpositive set, any residual and any lambda passed
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_negative_hpp_eigenpair(Tensor.identity(3, 2), tol, nonpositive=True)
 
     def test_identity_has_none(self):
         assert find_negative_hpp_eigenpair(Tensor.identity(3, 2), tol=1e-10) is None

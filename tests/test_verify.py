@@ -14,6 +14,7 @@ from tenclass import (
     run_all,
     run_fixtures,
     run_suite,
+    verify,
 )
 from tenclass.classifiers import (
     CLASSES,
@@ -74,6 +75,23 @@ class TestGenerators:
         with pytest.raises(ValueError, match="unknown generator kind"):
             GeneratorSpec("mystery", 3, 2)
 
+    @pytest.mark.parametrize("sizes,message", [
+        ((3.0, 2, 1), "order must be an integer"), ((True, 2, 1), "order must be an integer"),
+        ((1, 2, 1), "order must be at least 2"), ((3, 2.5, 1), "dim must be an integer"),
+        ((3, True, 1), "dim must be an integer"), ((3, 0, 1), "dim must be an integer"),
+        ((3, 2, 2.0), "count must be an integer"), ((3, 2, True), "count must be an integer"),
+        ((3, 2, 0), "count must be an integer"),
+    ])
+    def test_sizes_are_checked(self, sizes, message):
+        # a float or bool size used to fail inside numpy, and count=True drew one tensor
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec("nonneg", *sizes)
+
+    @pytest.mark.parametrize("kind", ["nonneg", "symmetric", "diagDominant"])
+    def test_factor_only_for_z(self, kind):
+        with pytest.raises(ValueError, match="factor applies only to the zTensor kind"):
+            GeneratorSpec(kind, 3, 2, factor=7.0)
+
     def test_determinism(self):
         spec = GeneratorSpec("symmetric", 3, 3, count=3, seed=11)
         a = generate(spec)
@@ -102,6 +120,24 @@ class TestSuites:
         # two fixed almost-class patterns every shape, but they always draw (3, 2)
         assert set(_SYM_ALMOST) <= set(SUITES["sym_almostE0_iff_almostC0"][0].kinds)
         assert [(T.order, T.dim) for T in _SYM_ALMOST] == [(3, 2), (3, 2)]
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_report_states_the_config_its_instances_ran_under(self, name, monkeypatch):
+        seen = []
+
+        class Spy(TensorClassifier):
+            def __init__(self, A, config=None):
+                seen.append(config.to_json())
+                super().__init__(A, config)
+
+        monkeypatch.setattr(verify, "TensorClassifier", Spy)
+        report = run_suite(name, seed=3, count=3, threads=1)
+        assert seen and all(doc == report["config"] for doc in seen)
+
+    def test_every_suite_decides_at_depth_128_or_more(self):
+        for depth, want in ((40, 128), (150, 150)):
+            report = run_all(seed=3, count=1, config=Config(max_depth=depth), threads=1)
+            assert {r["config"]["max_depth"] for r in report["suites"].values()} == {want}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
